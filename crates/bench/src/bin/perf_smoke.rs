@@ -20,7 +20,8 @@
 //! Emits `results/BENCH_perf.json` and exits non-zero when the
 //! steady-state batched path fails to clear `GPM_PERF_MIN_SPEEDUP`
 //! (default 5×) over the scalar path, the fresh-snapshot path falls
-//! under `GPM_PERF_MIN_FRESH_SPEEDUP` (default 1.5×), or the span
+//! under `GPM_PERF_MIN_FRESH_SPEEDUP` (default 1.5×), the hill climb
+//! evaluates no more than one candidate per search, or the span
 //! profile disagrees with the wall clock, so CI catches throughput
 //! regressions on the MPC hot path. Build with `--release`; debug
 //! numbers are meaningless.
@@ -148,8 +149,11 @@ fn main() {
     let fresh_speedup = fresh_rate / scalar_rate;
 
     // RF-backed hill climb: the governor's actual per-decision search.
+    // The cap sits 10% above the *predicted* time of the fail-safe start,
+    // so the start meets it and the climb really walks the knobs (a cap
+    // the start misses ends the search after one estimate).
     let eval = EnergyEvaluator::new(rf.clone(), SimParams::default());
-    let cap = out.time_s * 1.1;
+    let cap = eval.estimate(&snap, HwConfig::FAIL_SAFE).time_s * 1.1;
     // The search is deterministic, so one probe gives the exact
     // per-invocation candidate count; the timed loop then only measures.
     let (_, evals_per_search) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap);
@@ -251,6 +255,13 @@ fn main() {
     if fresh_speedup < fresh_gate {
         eprintln!(
             "FAIL: fresh-snapshot speedup {fresh_speedup:.2}x below the {fresh_gate:.1}x gate"
+        );
+        std::process::exit(1);
+    }
+    if evals_per_search <= 1 {
+        eprintln!(
+            "FAIL: the hill climb evaluated {evals_per_search} candidate(s) per search; \
+             its ns/candidate would time a single estimate, not a climb"
         );
         std::process::exit(1);
     }

@@ -15,12 +15,11 @@
 //! the same bits any other shard would have computed.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use gpm_harness::{EvalContext, ExecEnv};
 use gpm_telemetry::Telemetry;
 use gpm_trace::AggregateSink;
-use parking_lot::Mutex;
 
 use crate::scenario::{FleetScenario, ShardPlan};
 use crate::telemetry::{FleetReport, FleetRollup, JobReport, ShardReport};
@@ -99,12 +98,12 @@ impl FleetService {
         let results: Mutex<Vec<ShardReport>> =
             Mutex::new(Vec::with_capacity(scenario.shards.len()));
 
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
                 let cursor = &cursor;
                 let results = &results;
                 let telemetry = self.telemetry.as_ref();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     // Route spans and bridge counters from this worker
                     // into the fleet registry; inert when none installed.
                     let _enter = telemetry.map(|t| t.enter());
@@ -122,14 +121,16 @@ impl FleetService {
                             t.counter("gpm_fleet_fail_safe_total")
                                 .add(report.trace.fail_safe_events);
                         }
-                        results.lock().push(report);
+                        results
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .push(report);
                     }
                 });
             }
-        })
-        .expect("fleet worker panicked");
+        });
 
-        let mut shards = results.into_inner();
+        let mut shards = results.into_inner().unwrap_or_else(PoisonError::into_inner);
         shards.sort_by_key(|s| s.shard_id);
         FleetReport {
             scenario: scenario.name.clone(),

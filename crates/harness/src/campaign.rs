@@ -2,15 +2,15 @@
 //!
 //! The paper's campaign measured every benchmark kernel at 336 hardware
 //! configurations. On the simulator this is embarrassingly parallel:
-//! kernels are partitioned across worker threads (crossbeam scoped
-//! threads), each runs its share of the campaign, and results merge into
-//! one [`Dataset`]. Sample order is normalized afterwards so the parallel
-//! campaign is bit-identical to the sequential one.
+//! kernels are partitioned across scoped worker threads, each runs its
+//! share of the campaign, and results merge into one [`Dataset`]. Sample
+//! order is normalized afterwards so the parallel campaign is
+//! bit-identical to the sequential one.
 
 use gpm_hw::{ConfigSpace, HwConfig};
 use gpm_model::{Dataset, Sample};
 use gpm_sim::{ApuSimulator, KernelCharacteristics};
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Runs the measurement campaign for `kernels` over `space` using
 /// `threads` workers, profiling counters at `profile_cfg`.
@@ -32,21 +32,23 @@ pub fn parallel_campaign(
     assert!(threads > 0, "at least one worker thread is required");
     let results: Mutex<Vec<(usize, Vec<Sample>)>> = Mutex::new(Vec::with_capacity(threads));
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (worker, chunk) in kernels
             .chunks(kernels.len().div_ceil(threads).max(1))
             .enumerate()
         {
             let results = &results;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let part = Dataset::from_campaign(sim, chunk, space, profile_cfg);
-                results.lock().push((worker, part.samples().to_vec()));
+                results
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((worker, part.samples().to_vec()));
             });
         }
-    })
-    .expect("campaign worker panicked");
+    });
 
-    let mut parts = results.into_inner();
+    let mut parts = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     parts.sort_by_key(|(worker, _)| *worker);
     let samples: Vec<Sample> = parts.into_iter().flat_map(|(_, s)| s).collect();
     Dataset::from_samples(samples)

@@ -8,12 +8,11 @@ use gpm_hw::{ConfigSpace, CuCount, GpuDpm, HwConfig, NbState};
 use gpm_model::{ForestParams, RandomForestPredictor, TrainReport, TreeParams};
 use gpm_sim::{ApuSimulator, KernelCharacteristics, SimParams};
 use gpm_workloads::{suite, Workload};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Knobs for building an [`EvalContext`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -120,7 +119,7 @@ impl Default for BaselineCache {
 impl fmt::Debug for BaselineCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BaselineCache")
-            .field("entries", &self.entries.lock().len())
+            .field("entries", &self.lock_entries().len())
             .field("computed", &self.computed.load(Ordering::Relaxed))
             .field("hits", &self.hits.load(Ordering::Relaxed))
             .finish()
@@ -128,6 +127,12 @@ impl fmt::Debug for BaselineCache {
 }
 
 impl BaselineCache {
+    /// Locks the map. A resolver that panicked mid-compute poisons the
+    /// lock without inserting anything, so the map stays usable.
+    fn lock_entries(&self) -> MutexGuard<'_, HashMap<String, (RunResult, PerfTarget)>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Returns the cached baseline for `workload`, computing it under the
     /// map lock on first use so concurrent resolvers simulate it exactly
     /// once. The boolean is `true` on a cache hit.
@@ -136,7 +141,7 @@ impl BaselineCache {
         workload: &Workload,
         compute: impl FnOnce() -> (RunResult, PerfTarget),
     ) -> ((RunResult, PerfTarget), bool) {
-        let mut entries = self.entries.lock();
+        let mut entries = self.lock_entries();
         if let Some(found) = entries.get(workload.name()) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (found.clone(), true);

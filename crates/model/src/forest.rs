@@ -1,7 +1,7 @@
 //! Random Forest regression: bagged CART trees with feature subsampling
 //! (Breiman 2001, the algorithm the paper selected for its predictor).
 
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{Columns, RegressionTree, TreeParams};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -89,10 +89,10 @@ impl RandomForest {
         let _span = gpm_telemetry::span("rf.fit");
         assert!(!xs.is_empty(), "cannot fit a forest to zero samples");
         assert_eq!(xs.len(), ys.len(), "xs and ys must have equal length");
-        let num_features = xs[0].len();
+        let columns = Columns::new(xs);
         let mut tree_params = params.tree.clone();
         if tree_params.feature_subsample.is_none() {
-            let k = (num_features as f64).sqrt().ceil() as usize;
+            let k = (columns.num_features() as f64).sqrt().ceil() as usize;
             tree_params.feature_subsample = Some(k.max(1));
         }
 
@@ -101,19 +101,20 @@ impl RandomForest {
             ((xs.len() as f64 * params.bootstrap_fraction).round() as usize).clamp(1, xs.len() * 4);
         let num_trees = params.num_trees.max(1);
         // Bags come from the shared stream, in tree order, before any
-        // fitting starts — the part that must stay sequential.
-        let mut bags = Vec::with_capacity(num_trees);
+        // fitting starts — the part that must stay sequential. A bag is a
+        // list of dataset indices into the shared column store.
+        let mut bags: Vec<Vec<u32>> = Vec::with_capacity(num_trees);
+        let mut in_bag = Vec::with_capacity(num_trees);
         for _ in 0..num_trees {
-            let mut bx = Vec::with_capacity(sample_n);
-            let mut by = Vec::with_capacity(sample_n);
-            let mut bag = vec![false; xs.len()];
+            let mut bag = Vec::with_capacity(sample_n);
+            let mut seen = vec![false; xs.len()];
             for _ in 0..sample_n {
                 let i = rng.gen_range(0..xs.len());
-                bag[i] = true;
-                bx.push(xs[i].clone());
-                by.push(ys[i]);
+                seen[i] = true;
+                bag.push(i as u32);
             }
-            bags.push((bx, by, bag));
+            bags.push(bag);
+            in_bag.push(seen);
         }
 
         let threads = if threads == 0 {
@@ -123,24 +124,26 @@ impl RandomForest {
         }
         .clamp(1, num_trees);
         let tree_seed = |t: usize| seed ^ (t as u64).wrapping_mul(0x9e37);
+        let fit_tree = |t: usize, bag: &mut Vec<u32>| {
+            RegressionTree::fit_columns(&columns, ys, bag, &tree_params, tree_seed(t))
+        };
         let mut slots: Vec<Option<RegressionTree>> = vec![None; num_trees];
         if threads == 1 {
-            for (t, slot) in slots.iter_mut().enumerate() {
-                let (bx, by, _) = &bags[t];
-                *slot = Some(RegressionTree::fit(bx, by, &tree_params, tree_seed(t)));
+            for (t, (slot, bag)) in slots.iter_mut().zip(&mut bags).enumerate() {
+                *slot = Some(fit_tree(t, bag));
             }
         } else {
             let chunk = num_trees.div_ceil(threads);
-            let bags_ref = &bags;
-            let tree_params_ref = &tree_params;
+            let fit_tree = &fit_tree;
             std::thread::scope(|scope| {
-                for (w, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
+                for (w, (slot_chunk, bag_chunk)) in slots
+                    .chunks_mut(chunk)
+                    .zip(bags.chunks_mut(chunk))
+                    .enumerate()
+                {
                     scope.spawn(move || {
-                        for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                            let t = w * chunk + off;
-                            let (bx, by, _) = &bags_ref[t];
-                            *slot =
-                                Some(RegressionTree::fit(bx, by, tree_params_ref, tree_seed(t)));
+                        for (off, (slot, bag)) in slot_chunk.iter_mut().zip(bag_chunk).enumerate() {
+                            *slot = Some(fit_tree(w * chunk + off, bag));
                         }
                     });
                 }
@@ -150,7 +153,6 @@ impl RandomForest {
             .into_iter()
             .map(|slot| slot.expect("every tree fitted"))
             .collect();
-        let in_bag = bags.into_iter().map(|(_, _, bag)| bag).collect();
         RandomForest { trees, in_bag }
     }
 

@@ -2,9 +2,47 @@
 //!
 //! Each tree greedily chooses, at every node, the (feature, threshold) pair
 //! that minimizes the summed squared error of the two children. Thresholds
-//! are drawn from up to [`TreeParams::threshold_candidates`] quantiles of
-//! the feature values at the node, which keeps fitting `O(n)` per candidate
-//! instead of `O(n log n)` full sorts per feature.
+//! are the midpoints at up to [`TreeParams::threshold_candidates`]
+//! quantiles of the node's distinct feature values.
+//!
+//! # How a fit runs
+//!
+//! The training set is stored column-major, once per fit: for every
+//! feature, its bit-distinct values in `total_cmp` order (its *levels*)
+//! and each sample's rank among them. A tree sees its samples as a list
+//! of `u32` dataset indices: a forest's bootstrap bag, or `0..n` for a
+//! lone tree. A node owns a contiguous range of that list. Splitting
+//! partitions the range in place and stably, so each child keeps its
+//! samples in the parent's order. The scratch buffers live for the whole
+//! tree.
+//!
+//! For every feature examined at a node, the node's ranks are gathered
+//! into a contiguous buffer once. Counting them by rank (or sorting them,
+//! when the node holds few samples per level) yields the node's sorted
+//! distinct values, and from those the thresholds. Then one pass over the
+//! samples, in node order, per block of four thresholds updates each
+//! threshold's left-child count, `Σy` and `Σy²`, branch-free and in
+//! registers.
+//!
+//! # Why the sweep is bit-identical to a per-threshold scan
+//!
+//! The textbook fit rescans the node once per threshold and sums the
+//! samples with `x <= threshold`. Floating-point addition is not
+//! associative, so the result depends on each accumulator's *sequence* of
+//! additions, not only on its addends. The sweep keeps that sequence: it visits the samples in the scan's order, and threshold
+//! `t`'s accumulators take exactly the samples with `x <= t`, in that
+//! order. A sample above the threshold adds `+0.0` instead of being
+//! skipped. That is a no-op, because an accumulator that starts at `+0.0`
+//! never becomes `-0.0` under round-to-nearest.
+//!
+//! The thresholds match too. Rank order is `total_cmp` order and equal
+//! ranks are bit-identical values, so the node's distinct values equal the
+//! scan's sorted, deduplicated values element for element; a NaN level is
+//! kept once per occurrence, as the scan's dedup keeps every NaN. Node
+//! means, the stop test, the children's sample order and the
+//! feature-subsampling RNG draws also follow the scan. So every split,
+//! leaf and forest equals the scan's bit for bit; `tests/fit_equivalence.rs`
+//! keeps the scan as its oracle.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -49,6 +87,66 @@ pub(crate) enum Node {
     },
 }
 
+/// A training set stored column-major as per-feature levels and ranks.
+pub(crate) struct Columns {
+    /// `levels[f]`: the bit-distinct values of feature `f`, ascending in
+    /// `total_cmp` order.
+    levels: Vec<Vec<f64>>,
+    /// `ranks[f][i]`: the index in `levels[f]` of sample `i`'s value.
+    ranks: Vec<Vec<u32>>,
+}
+
+impl Columns {
+    /// Transposes and ranks row-major samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is empty, holds more than `u32::MAX` samples, or its
+    /// rows have inconsistent lengths.
+    pub(crate) fn new(xs: &[Vec<f64>]) -> Columns {
+        assert!(!xs.is_empty(), "cannot fit a tree to zero samples");
+        let num_features = xs[0].len();
+        assert!(
+            xs.iter().all(|x| x.len() == num_features),
+            "inconsistent feature dimensionality"
+        );
+        assert!(
+            u32::try_from(xs.len()).is_ok(),
+            "training set exceeds u32 sample indices"
+        );
+        let mut levels = Vec::with_capacity(num_features);
+        let mut ranks = Vec::with_capacity(num_features);
+        let mut order: Vec<(f64, u32)> = Vec::with_capacity(xs.len());
+        for f in 0..num_features {
+            order.clear();
+            order.extend(xs.iter().zip(0u32..).map(|(x, i)| (x[f], i)));
+            order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            let mut column_levels: Vec<f64> = Vec::new();
+            let mut column_ranks = vec![0u32; xs.len()];
+            for &(v, i) in &order {
+                if column_levels
+                    .last()
+                    .is_none_or(|l| l.to_bits() != v.to_bits())
+                {
+                    column_levels.push(v);
+                }
+                column_ranks[i as usize] = (column_levels.len() - 1) as u32;
+            }
+            levels.push(column_levels);
+            ranks.push(column_ranks);
+        }
+        Columns { levels, ranks }
+    }
+
+    pub(crate) fn num_features(&self) -> usize {
+        self.ranks.len()
+    }
+
+    fn value(&self, feature: usize, sample: u32) -> f64 {
+        self.levels[feature][self.ranks[feature][sample as usize] as usize]
+    }
+}
+
 /// A fitted CART regression tree.
 ///
 /// # Examples
@@ -81,19 +179,34 @@ impl RegressionTree {
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], params: &TreeParams, seed: u64) -> RegressionTree {
         assert!(!xs.is_empty(), "cannot fit a tree to zero samples");
         assert_eq!(xs.len(), ys.len(), "xs and ys must have equal length");
-        let num_features = xs[0].len();
-        assert!(
-            xs.iter().all(|x| x.len() == num_features),
-            "inconsistent feature dimensionality"
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut tree = RegressionTree {
+        let columns = Columns::new(xs);
+        let mut samples: Vec<u32> = (0..xs.len() as u32).collect();
+        RegressionTree::fit_columns(&columns, ys, &mut samples, params, seed)
+    }
+
+    /// Fits a tree to `samples` (dataset indices, repeats allowed, in the
+    /// order the fit visits them) of `columns`. `samples` is permuted in
+    /// place.
+    pub(crate) fn fit_columns(
+        columns: &Columns,
+        ys: &[f64],
+        samples: &mut [u32],
+        params: &TreeParams,
+        seed: u64,
+    ) -> RegressionTree {
+        let mut fitter = Fitter {
+            columns,
+            ys,
+            params,
+            rng: StdRng::seed_from_u64(seed),
             nodes: Vec::new(),
-            num_features,
+            scratch: Scratch::default(),
         };
-        let idx: Vec<usize> = (0..xs.len()).collect();
-        tree.build(xs, ys, idx, 0, params, &mut rng);
-        tree
+        fitter.build(samples, 0);
+        RegressionTree {
+            nodes: fitter.nodes,
+            num_features: columns.num_features(),
+        }
     }
 
     /// Predicts the target for one feature vector.
@@ -161,38 +274,95 @@ impl RegressionTree {
         }
         walk(&self.nodes, 0)
     }
+}
 
-    fn build(
-        &mut self,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        idx: Vec<usize>,
-        depth: usize,
-        params: &TreeParams,
-        rng: &mut StdRng,
-    ) -> usize {
-        let mean = idx.iter().map(|&i| ys[i]).sum::<f64>() / idx.len() as f64;
-        let stop = depth >= params.max_depth
-            || idx.len() < 2 * params.min_samples_leaf
-            || idx.iter().all(|&i| (ys[i] - mean).abs() < 1e-15);
-        if stop {
-            self.nodes.push(Node::Leaf { value: mean });
-            return self.nodes.len() - 1;
+/// Thresholds whose left-child accumulators one sweep updates together.
+const LANES: usize = 4;
+
+/// Writes the distinct values of `ranks` (one feature's ranks at a node)
+/// to `out` in ascending order, with a NaN level repeated once per
+/// occurrence: equal ranks are bit-identical values, but NaN never equals
+/// itself, so the scan's dedup keeps every NaN.
+///
+/// Counting by rank costs `O(m + levels)` and suits nodes holding many
+/// samples per level; a sort costs `O(m log m)` and suits the rest. Both
+/// produce the same list.
+fn distinct_ranks_of(ranks: &[u32], levels: &[f64], counts: &mut Vec<usize>, out: &mut Vec<u32>) {
+    out.clear();
+    if levels.len() <= 8 * ranks.len() {
+        counts.resize(counts.len().max(levels.len()), 0);
+        for &r in ranks {
+            counts[r as usize] += 1;
         }
+        for (r, (count, level)) in (0u32..).zip(counts.iter_mut().zip(levels)) {
+            if *count > 0 {
+                let copies = if level.is_nan() { *count } else { 1 };
+                out.extend(std::iter::repeat_n(r, copies));
+                *count = 0;
+            }
+        }
+    } else {
+        out.extend_from_slice(ranks);
+        out.sort_unstable();
+        out.dedup_by(|a, b| a == b && !levels[*a as usize].is_nan());
+    }
+}
 
-        let split = self.best_split(xs, ys, &idx, params, rng);
-        let Some((feature, threshold)) = split else {
-            self.nodes.push(Node::Leaf { value: mean });
-            return self.nodes.len() - 1;
+/// Buffers reused by every node of one tree fit.
+#[derive(Default)]
+struct Scratch {
+    /// Features examined at the node, in examination order.
+    features: Vec<usize>,
+    /// The node's `(y, y²)` pairs, in sample order.
+    ys: Vec<[f64; 2]>,
+    /// The node's ranks of the feature under examination, in sample order.
+    ranks: Vec<u32>,
+    /// Per rank: how often it occurs at the node (all zero between uses).
+    rank_counts: Vec<usize>,
+    /// Those ranks ascending, each once (a NaN level once per sample).
+    distinct_ranks: Vec<u32>,
+    /// The node's distinct values of that feature, ascending.
+    distinct: Vec<f64>,
+    thresholds: Vec<f64>,
+    /// Right-child samples while a node is partitioned.
+    spill: Vec<u32>,
+}
+
+/// One tree fit in progress.
+struct Fitter<'a> {
+    columns: &'a Columns,
+    ys: &'a [f64],
+    params: &'a TreeParams,
+    rng: StdRng,
+    nodes: Vec<Node>,
+    scratch: Scratch,
+}
+
+impl Fitter<'_> {
+    fn leaf(&mut self, value: f64) -> usize {
+        self.nodes.push(Node::Leaf { value });
+        self.nodes.len() - 1
+    }
+
+    fn build(&mut self, idx: &mut [u32], depth: usize) -> usize {
+        let ys = self.ys;
+        let mean = idx.iter().map(|&i| ys[i as usize]).sum::<f64>() / idx.len() as f64;
+        let stop = depth >= self.params.max_depth
+            || idx.len() < 2 * self.params.min_samples_leaf
+            || idx.iter().all(|&i| (ys[i as usize] - mean).abs() < 1e-15);
+        if stop {
+            return self.leaf(mean);
+        }
+        let Some((feature, threshold)) = self.best_split(idx) else {
+            return self.leaf(mean);
         };
 
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-            idx.into_iter().partition(|&i| xs[i][feature] <= threshold);
+        let split = self.partition(idx, feature, threshold);
+        let (left_idx, right_idx) = idx.split_at_mut(split);
         // Reserve this node's slot before recursing.
-        let slot = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: mean });
-        let left = self.build(xs, ys, left_idx, depth + 1, params, rng);
-        let right = self.build(xs, ys, right_idx, depth + 1, params, rng);
+        let slot = self.leaf(mean);
+        let left = self.build(left_idx, depth + 1);
+        let right = self.build(right_idx, depth + 1);
         self.nodes[slot] = Node::Split {
             feature,
             threshold,
@@ -202,67 +372,125 @@ impl RegressionTree {
         slot
     }
 
-    fn best_split(
-        &self,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        idx: &[usize],
-        params: &TreeParams,
-        rng: &mut StdRng,
-    ) -> Option<(usize, f64)> {
-        let mut features: Vec<usize> = (0..self.num_features).collect();
+    /// Stably moves the samples with `x[feature] <= threshold` to the
+    /// front of `idx` and returns how many there are.
+    fn partition(&mut self, idx: &mut [u32], feature: usize, threshold: f64) -> usize {
+        let spill = &mut self.scratch.spill;
+        spill.clear();
+        let mut kept = 0;
+        for r in 0..idx.len() {
+            let i = idx[r];
+            if self.columns.value(feature, i) <= threshold {
+                idx[kept] = i;
+                kept += 1;
+            } else {
+                spill.push(i);
+            }
+        }
+        idx[kept..].copy_from_slice(spill);
+        kept
+    }
+
+    fn best_split(&mut self, idx: &[u32]) -> Option<(usize, f64)> {
+        let Fitter {
+            columns,
+            ys,
+            params,
+            rng,
+            scratch,
+            ..
+        } = self;
+        let Scratch {
+            features,
+            ys: node_ys,
+            ranks,
+            rank_counts,
+            distinct_ranks,
+            distinct,
+            thresholds,
+            ..
+        } = scratch;
+        let num_features = columns.num_features();
+
+        features.clear();
+        features.extend(0..num_features);
         if let Some(k) = params.feature_subsample {
             features.shuffle(rng);
-            features.truncate(k.max(1).min(self.num_features));
+            features.truncate(k.max(1).min(num_features));
         }
 
+        node_ys.clear();
+        node_ys.extend(idx.iter().map(|&i| {
+            let y = ys[i as usize];
+            [y, y * y]
+        }));
         let n = idx.len() as f64;
-        let sum: f64 = idx.iter().map(|&i| ys[i]).sum();
-        let sum_sq: f64 = idx.iter().map(|&i| ys[i] * ys[i]).sum();
+        let sum: f64 = node_ys.iter().map(|p| p[0]).sum();
+        let sum_sq: f64 = node_ys.iter().map(|p| p[1]).sum();
         let parent_sse_base = sum_sq - sum * sum / n;
 
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
-        for &f in &features {
-            let mut vals: Vec<f64> = idx.iter().map(|&i| xs[i][f]).collect();
-            vals.sort_by(|a, b| a.total_cmp(b));
-            vals.dedup();
-            if vals.len() < 2 {
+        for &f in features.iter() {
+            let levels = &columns.levels[f];
+            if levels.len() < 2 {
+                // A single level yields no threshold (or only NaN ones).
                 continue;
             }
-            let step = (vals.len() - 1).max(1) as f64 / params.threshold_candidates as f64;
-            let mut thresholds: Vec<f64> = Vec::new();
+            let column_ranks = &columns.ranks[f];
+            ranks.clear();
+            ranks.extend(idx.iter().map(|&i| column_ranks[i as usize]));
+            distinct_ranks_of(ranks, levels, rank_counts, distinct_ranks);
+            distinct.clear();
+            distinct.extend(distinct_ranks.iter().map(|&r| levels[r as usize]));
+            distinct.dedup();
+            if distinct.len() < 2 {
+                continue;
+            }
+            let step = (distinct.len() - 1).max(1) as f64 / params.threshold_candidates as f64;
+            thresholds.clear();
             let mut t = step;
-            while t < (vals.len() - 1) as f64 + 1e-9
+            while t < (distinct.len() - 1) as f64 + 1e-9
                 && thresholds.len() < params.threshold_candidates
             {
-                let k = (t as usize).min(vals.len() - 2);
-                thresholds.push((vals[k] + vals[k + 1]) / 2.0);
+                let k = (t as usize).min(distinct.len() - 2);
+                thresholds.push((distinct[k] + distinct[k + 1]) / 2.0);
                 t += step.max(1e-9);
             }
             thresholds.dedup();
 
-            for &thr in &thresholds {
-                let mut nl = 0.0f64;
-                let mut sl = 0.0f64;
-                let mut ql = 0.0f64;
-                for &i in idx {
-                    if xs[i][f] <= thr {
-                        nl += 1.0;
-                        sl += ys[i];
-                        ql += ys[i] * ys[i];
+            // One pass in sample order per block of `LANES` thresholds,
+            // its accumulators held in registers; see the module docs for
+            // why this matches a per-threshold scan bit for bit.
+            for block in thresholds.chunks(LANES) {
+                // Spare lanes hold NaN, which admits no sample.
+                let mut lane_thresholds = [f64::NAN; LANES];
+                lane_thresholds[..block.len()].copy_from_slice(block);
+                let mut nl = [0.0f64; LANES];
+                let mut sl = [0.0f64; LANES];
+                let mut ql = [0.0f64; LANES];
+                for (&r, &[y, y_sq]) in ranks.iter().zip(node_ys.iter()) {
+                    let x = levels[r as usize];
+                    for k in 0..LANES {
+                        let under = x <= lane_thresholds[k];
+                        nl[k] += if under { 1.0 } else { 0.0 };
+                        sl[k] += if under { y } else { 0.0 };
+                        ql[k] += if under { y_sq } else { 0.0 };
                     }
                 }
-                let nr = n - nl;
-                if (nl as usize) < params.min_samples_leaf
-                    || (nr as usize) < params.min_samples_leaf
-                {
-                    continue;
-                }
-                let sr = sum - sl;
-                let qr = sum_sq - ql;
-                let sse = (ql - sl * sl / nl) + (qr - sr * sr / nr);
-                if sse < parent_sse_base - 1e-12 && best.is_none_or(|(_, _, b)| sse < b) {
-                    best = Some((f, thr, sse));
+                for (k, &thr) in block.iter().enumerate() {
+                    let (nl, sl, ql) = (nl[k], sl[k], ql[k]);
+                    let nr = n - nl;
+                    if (nl as usize) < params.min_samples_leaf
+                        || (nr as usize) < params.min_samples_leaf
+                    {
+                        continue;
+                    }
+                    let sr = sum - sl;
+                    let qr = sum_sq - ql;
+                    let sse = (ql - sl * sl / nl) + (qr - sr * sr / nr);
+                    if sse < parent_sse_base - 1e-12 && best.is_none_or(|(_, _, b)| sse < b) {
+                        best = Some((f, thr, sse));
+                    }
                 }
             }
         }
@@ -403,6 +631,44 @@ mod tests {
         let b = RegressionTree::fit(&xs, &ys, &TreeParams::default(), 999);
         for x in &xs {
             assert_eq!(a.predict(x), b.predict(x));
+        }
+    }
+
+    /// Both strategies of `distinct_ranks_of` must list exactly the
+    /// per-threshold scan's sorted, `==`-deduplicated values, NaN
+    /// repeats included.
+    #[test]
+    fn distinct_ranks_match_sorted_dedup_on_dense_and_sparse_nodes() {
+        use rand::Rng;
+        let pool = [-f64::NAN, -1.5, -0.0, 0.0, 2.0, f64::INFINITY, f64::NAN];
+        let mut rng = StdRng::seed_from_u64(5);
+        for rows in [3usize, 40, 400] {
+            let mut xs: Vec<Vec<f64>> = (0..rows)
+                .map(|_| vec![pool[rng.gen_range(0..pool.len())]])
+                .collect();
+            // Many distinct levels, so small nodes take the sorting path.
+            xs.extend((0..200).map(|i| vec![i as f64 * 0.25]));
+            let columns = Columns::new(&xs);
+            let levels = &columns.levels[0];
+            let (mut counts, mut out) = (Vec::new(), Vec::new());
+            for node_len in [2usize, 5, 60, xs.len()] {
+                let node: Vec<u32> = (0..node_len)
+                    .map(|_| rng.gen_range(0..xs.len() as u32))
+                    .collect();
+                let ranks: Vec<u32> = node.iter().map(|&i| columns.ranks[0][i as usize]).collect();
+                distinct_ranks_of(&ranks, levels, &mut counts, &mut out);
+                let mut got: Vec<f64> = out.iter().map(|&r| levels[r as usize]).collect();
+                got.dedup();
+                let mut want: Vec<f64> = node.iter().map(|&i| xs[i as usize][0]).collect();
+                want.sort_by(|a, b| a.total_cmp(b));
+                want.dedup();
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "{node_len} samples"
+                );
+                assert!(counts.iter().all(|&c| c == 0), "counts left dirty");
+            }
         }
     }
 }

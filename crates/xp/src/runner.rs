@@ -8,12 +8,12 @@ use crate::experiment::{check_gates, fingerprint, Experiment, GateResult, Metric
 use crate::registry::registry;
 use gpm_harness::EvalContext;
 use gpm_trace::TraceSummary;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// How one [`run_suite`] invocation is configured.
 #[derive(Debug, Clone)]
@@ -346,9 +346,9 @@ pub fn run_suite(cfg: &RunConfig) -> SuiteReport {
 
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, ExperimentRecord)>> = Mutex::new(Vec::new());
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let at = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&idx) = pending.get(at) else {
                     break;
@@ -363,13 +363,15 @@ pub fn run_suite(cfg: &RunConfig) -> SuiteReport {
                     if record.passed { "passed" } else { "FAILED" },
                     record.duration_ms
                 );
-                results.lock().push((idx, record));
+                results
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((idx, record));
             });
         }
-    })
-    .expect("runner worker panicked outside catch_unwind");
+    });
 
-    for (idx, record) in results.into_inner() {
+    for (idx, record) in results.into_inner().unwrap_or_else(PoisonError::into_inner) {
         emit_artifact(artifact_path(&cfg.out_dir, &record.name), &record);
         slots[idx] = Some(record);
     }
