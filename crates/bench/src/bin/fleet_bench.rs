@@ -1,39 +1,43 @@
 //! Fleet scaling + determinism gate.
 //!
 //! Runs the canonical mixed fleet scenario through [`gpm_fleet`] at 1, 2,
-//! and auto worker threads, measuring host wall-clock throughput at each
-//! setting, and:
+//! and auto worker threads, after one untimed warm-up run, measuring
+//! host wall-clock throughput at each setting, and:
 //!
 //! * asserts the serialized fleet artifacts are **byte-identical** across
 //!   all three worker counts (the gpm-fleet determinism contract);
 //! * gates auto-worker speedup over 1 worker at
-//!   `GPM_FLEET_MIN_SCALING` (default 1.05×), skipped on single-core
-//!   hosts where no scaling is possible.
+//!   `GPM_FLEET_MIN_SCALING` (default 1.05×). When auto resolves to one
+//!   worker (a single-core host) there is no scaling to measure: the
+//!   auto point is recorded as skipped (`auto_speedup_over_1: null`).
 //!
 //! `--soak <seconds>` instead replays seeded scenarios (rotating seeds)
 //! for at least that long, diffing every artifact against the first for
 //! its seed — the CI fleet-soak job runs 60 s of this. Every run (soak
 //! and sweep) executes under a live fleet [`gpm_telemetry`] registry
 //! plus per-shard registries, and soak mode prints a periodic one-line
-//! status derived from the same values a Prometheus scrape would see:
-//! jobs/s, p99 simulated decision latency, and the fail-safe rate.
+//! status from the running fleet rollup, the same values the Prometheus
+//! page shows: jobs/s, p99 simulated decision latency, and the
+//! fail-safe rate.
 //!
-//! `--telemetry-out PATH` writes the final Prometheus text exposition
-//! (fleet counters merged with the per-shard rollup);
-//! `--telemetry-port PORT` additionally serves it live on
-//! `127.0.0.1:PORT/metrics` for the duration of the run, so a soak can
-//! be watched from a real Prometheus scraper.
+//! `--telemetry-out PATH` writes the final Prometheus page (every run's
+//! rollup merged, plus the fleet registry's worker/shard spans) and
+//! exits non-zero when it fails validation; `--telemetry-port PORT`
+//! additionally serves the latest page on `127.0.0.1:PORT/metrics` for
+//! the duration of the run, so a soak can be watched from a real
+//! Prometheus scraper.
 //!
 //! Emits `results/BENCH_fleet.json` either way. `GPM_BENCH_FAST=1`
 //! selects the fast training context (CI default). Build with
 //! `--release`; debug numbers are meaningless.
 
 use gpm_bench::{bench_context, emit_artifact, fast_from_env};
-use gpm_fleet::{FleetReport, FleetScenario, FleetService};
-use gpm_telemetry::{Telemetry, TelemetrySnapshot};
+use gpm_fleet::{FleetReport, FleetRollup, FleetScenario, FleetService};
+use gpm_telemetry::{validate_prometheus, Telemetry};
 use serde::Serialize;
 use std::io::{Read, Write};
 use std::net::TcpListener;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 #[derive(Serialize)]
@@ -56,7 +60,8 @@ struct FleetBenchReport {
     fault_injections: u64,
     deterministic: bool,
     scaling: Vec<WorkerPoint>,
-    auto_speedup_over_1: f64,
+    /// `None` when auto resolves to one worker: nothing to compare.
+    auto_speedup_over_1: Option<f64>,
     min_scaling_gate: f64,
     soak_seconds: f64,
     soak_iterations: usize,
@@ -78,31 +83,36 @@ fn timed_run(svc: &FleetService, scenario: &FleetScenario) -> (FleetReport, Stri
     (report, json, wall)
 }
 
-/// One soak status line, derived from exactly the values a Prometheus
-/// scrape of the fleet registry (and the per-shard rollup) would see.
-fn status_line(
-    elapsed_s: f64,
-    fleet: &TelemetrySnapshot,
-    rollup: Option<&TelemetrySnapshot>,
-) -> String {
-    let jobs = fleet.counter("gpm_fleet_jobs_total").unwrap_or(0);
-    let fail_safe = fleet.counter("gpm_fleet_fail_safe_total").unwrap_or(0);
-    let shards = fleet.counter("gpm_fleet_shards_total").unwrap_or(0);
-    let p99 = rollup
-        .and_then(|r| r.quantile("gpm_decision_seconds", 0.99))
+/// One soak status line, from the running rollup of every fleet run —
+/// the values its Prometheus page shows.
+fn status_line(elapsed_s: f64, totals: &FleetRollup) -> String {
+    let p99 = totals
+        .trace
+        .decision_latency
+        .quantile(0.99)
         .map_or("n/a".to_string(), |s| format!("{:.1} us", s * 1e6));
     format!(
         "soak {elapsed_s:>5.1} s | {:.1} jobs/s | p99 decision {} | fail-safe {:.2}/job | {} shards",
-        jobs as f64 / elapsed_s.max(1e-9),
+        totals.jobs as f64 / elapsed_s.max(1e-9),
         p99,
-        fail_safe as f64 / (jobs.max(1)) as f64,
-        shards
+        totals.fail_safe_entries as f64 / totals.jobs.max(1) as f64,
+        totals.shards
     )
 }
 
-/// Serves the registry's Prometheus text exposition on
-/// `127.0.0.1:port` from a detached thread (dies with the process).
-fn serve_prometheus(port: u16, telemetry: Telemetry) {
+/// The Prometheus page of every run so far: the merged rollups plus the
+/// fleet registry's worker/shard spans.
+fn fleet_page(totals: &FleetRollup, telemetry: &Telemetry) -> String {
+    let mut page = totals.clone();
+    page.telemetry
+        .get_or_insert_with(Default::default)
+        .merge(&telemetry.snapshot());
+    page.to_prometheus()
+}
+
+/// Serves the latest page on `127.0.0.1:port` from a detached thread
+/// (dies with the process).
+fn serve_prometheus(port: u16, page: Arc<Mutex<String>>) {
     let listener = TcpListener::bind(("127.0.0.1", port))
         .unwrap_or_else(|e| panic!("bind telemetry port {port}: {e}"));
     println!("serving Prometheus metrics on http://127.0.0.1:{port}/metrics");
@@ -113,7 +123,7 @@ fn serve_prometheus(port: u16, telemetry: Telemetry) {
             // same exposition.
             let mut buf = [0u8; 1024];
             let _ = stream.read(&mut buf);
-            let body = telemetry.snapshot().to_prometheus();
+            let body = page.lock().unwrap_or_else(PoisonError::into_inner).clone();
             let _ = write!(
                 stream,
                 "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
@@ -148,13 +158,21 @@ fn main() {
     let scenario = FleetScenario::mixed(seed, shards, jobs_per_shard);
 
     // One fleet-level registry spans the whole process (soak + sweep);
-    // shard-level registries are created per shard by the service and
-    // surface merged through each report's rollup.
+    // shard-level registries are created per shard by the service. Every
+    // run's rollup folds into `totals`, which the status lines and the
+    // Prometheus page render from.
     let telemetry = Telemetry::new();
+    let mut totals = FleetRollup::default();
+    let page = Arc::new(Mutex::new(fleet_page(&totals, &telemetry)));
     if let Some(port) = telemetry_port {
-        serve_prometheus(port, telemetry.clone());
+        serve_prometheus(port, Arc::clone(&page));
     }
-    let mut last_rollup_snap: Option<TelemetrySnapshot> = None;
+    let record = |totals: &mut FleetRollup, report: &FleetReport| {
+        totals.merge(&report.rollup);
+        if telemetry_port.is_some() {
+            *page.lock().unwrap_or_else(PoisonError::into_inner) = fleet_page(totals, &telemetry);
+        }
+    };
 
     let mut soak_elapsed = 0.0;
     let mut soak_iters = 0usize;
@@ -167,47 +185,36 @@ fn main() {
         let mut round = 0u64;
         while start.elapsed().as_secs_f64() < budget {
             let s = FleetScenario::mixed(seed ^ round.wrapping_mul(0x9e37_79b9), shards, 2);
-            let (_, first, _) = timed_run(&svc, &s);
+            let (first_report, first, _) = timed_run(&svc, &s);
             let (report, again, _) = timed_run(&svc, &s);
             assert_eq!(first, again, "soak artifact drifted on round {round}");
-            last_rollup_snap = report.rollup.telemetry.clone();
+            record(&mut totals, &first_report);
+            record(&mut totals, &report);
             round += 1;
             soak_iters += 2;
             if last_status.elapsed().as_secs_f64() >= 5.0 {
-                println!(
-                    "  {}",
-                    status_line(
-                        start.elapsed().as_secs_f64(),
-                        &telemetry.snapshot(),
-                        last_rollup_snap.as_ref(),
-                    )
-                );
+                println!("  {}", status_line(start.elapsed().as_secs_f64(), &totals));
                 last_status = Instant::now();
             }
         }
         soak_elapsed = start.elapsed().as_secs_f64();
-        println!(
-            "  {}",
-            status_line(
-                soak_elapsed,
-                &telemetry.snapshot(),
-                last_rollup_snap.as_ref()
-            )
-        );
+        println!("  {}", status_line(soak_elapsed, &totals));
         println!("soak: {soak_iters} runs over {soak_elapsed:.1} s, no drift");
     }
 
-    // Scaling sweep: 1, 2, auto workers over the same scenario.
+    // Scaling sweep: one untimed warm-up run (caches, allocator, first
+    // thread spawns), then 1, 2, auto workers over the same scenario.
     let auto_workers = FleetService::new(ctx.clone()).effective_workers(scenario.shards.len());
+    let warm_up = FleetService::new(ctx.clone()).with_telemetry(telemetry.clone());
+    record(&mut totals, &warm_up.run(&scenario));
     let mut scaling = Vec::new();
     let mut artifacts: Vec<String> = Vec::new();
-    let mut last_report_json = String::new();
     for &workers in &[1usize, 2, 0] {
         let svc = FleetService::new(ctx.clone())
             .with_workers(workers)
             .with_telemetry(telemetry.clone());
         let (full_report, json, wall) = timed_run(&svc, &scenario);
-        last_rollup_snap = full_report.rollup.telemetry.clone();
+        record(&mut totals, &full_report);
         let effective = svc.effective_workers(scenario.shards.len());
         scaling.push(WorkerPoint {
             workers: effective,
@@ -218,16 +225,15 @@ fn main() {
             "  {effective:>2} workers: {wall:.3} s wall ({:.1} jobs/s)",
             scenario.total_jobs() as f64 / wall
         );
-        artifacts.push(json.clone());
-        last_report_json = json;
+        artifacts.push(json);
     }
 
     let deterministic = artifacts.iter().all(|a| *a == artifacts[0]);
-    let auto_speedup = scaling[0].wall_s / scaling[2].wall_s;
+    let auto_speedup = (auto_workers >= 2).then(|| scaling[0].wall_s / scaling[2].wall_s);
     let gate = env_f64("GPM_FLEET_MIN_SCALING", 1.05);
 
-    let report: gpm_fleet::FleetReport =
-        serde_json::from_str(&last_report_json).expect("fleet artifact parses");
+    let report: FleetReport = serde_json::from_str(artifacts.last().expect("three sweep runs"))
+        .expect("fleet artifact parses");
     let bench = FleetBenchReport {
         scenario: scenario.name.clone(),
         seed,
@@ -247,30 +253,35 @@ fn main() {
     };
     emit_artifact("results/BENCH_fleet.json", &bench);
 
+    let mut ok = true;
     if let Some(path) = &telemetry_out {
-        // Fleet counters plus the per-shard rollup (dispatch counters,
-        // decision-latency histogram, span profile), one exposition.
-        let mut snap = telemetry.snapshot();
-        if let Some(rollup) = &last_rollup_snap {
-            snap.merge(rollup);
-        }
+        let text = fleet_page(&totals, &telemetry);
         if let Some(parent) = std::path::Path::new(path).parent() {
             std::fs::create_dir_all(parent).expect("create telemetry output directory");
         }
-        std::fs::write(path, snap.to_prometheus()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        std::fs::write(path, &text).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("wrote {path}");
+        if let Err(e) = validate_prometheus(&text) {
+            eprintln!("FAIL: {path} is not a valid Prometheus page: {e}");
+            ok = false;
+        }
     }
-
     if !deterministic {
         eprintln!("FAIL: fleet artifacts differ across worker counts");
+        ok = false;
+    }
+    match auto_speedup {
+        Some(speedup) if speedup < gate => {
+            eprintln!("FAIL: auto-worker speedup {speedup:.2}x below the {gate:.2}x scaling gate");
+            ok = false;
+        }
+        Some(speedup) => {
+            println!("auto speedup {speedup:.2}x (gate {gate:.2}x, {auto_workers} workers)")
+        }
+        None => println!("auto resolves to 1 worker: scaling point skipped"),
+    }
+    if !ok {
         std::process::exit(1);
     }
-    if auto_workers >= 2 && auto_speedup < gate {
-        eprintln!("FAIL: auto-worker speedup {auto_speedup:.2}x below the {gate:.2}x scaling gate");
-        std::process::exit(1);
-    }
-    println!(
-        "PASS: byte-identical at 1/2/auto workers; auto speedup {auto_speedup:.2}x \
-         (gate {gate:.2}x, {auto_workers} workers)"
-    );
+    println!("PASS: byte-identical at 1/2/auto workers");
 }

@@ -1,12 +1,13 @@
 //! Telemetry hot-path overhead gate.
 //!
 //! A/B-measures the wall-clock cost of running the full MPC evaluation
-//! loop under a live [`gpm_telemetry::Telemetry`] registry (spans,
-//! counters, latency histograms, event ring) against a clean
-//! [`ExecEnv`], interleaved and min-of-rounds so scheduler noise and
-//! thermal drift cancel. On top of the timing it verifies the
-//! instrumented run is **decision-byte-identical** to the clean run and
-//! that the registry renders format-valid Prometheus text.
+//! loop under a live [`gpm_telemetry::Telemetry`] registry (spans and
+//! the event ring) against a clean [`ExecEnv`], interleaved and
+//! min-of-rounds so scheduler noise and thermal drift cancel. On top of the timing it verifies the
+//! instrumented run is **decision-byte-identical** to the clean run, and
+//! renders the Prometheus page from one extra untimed pass under a
+//! registry and a trace aggregate, checking it validates and that its
+//! `env.dispatch` span count equals the trace's dispatch count.
 //!
 //! Usage:
 //!
@@ -19,8 +20,7 @@
 //! chrome://tracing JSON (`results/telemetry_trace.json`, loadable in
 //! Perfetto) and a folded-stack file (`results/telemetry_flame.folded`,
 //! pipe through `flamegraph.pl`) from the instrumented side's event
-//! ring; `--telemetry-out` additionally writes the Prometheus text
-//! exposition. Exits non-zero when overhead exceeds
+//! ring; `--telemetry-out` additionally writes the Prometheus page. Exits non-zero when overhead exceeds
 //! `GPM_TELEMETRY_MAX_OVERHEAD_PCT` (default 5% at full evaluation
 //! depth, 12% under `--fast` where decisions shrink to microseconds and
 //! the fixed ~100 ns/span cost is relatively inflated), when any
@@ -29,10 +29,12 @@
 
 use gpm_bench::{bench_context, emit_artifact, fast_from_env};
 use gpm_harness::env::ExecEnv;
+use gpm_harness::report::prometheus;
 use gpm_harness::{EvalContext, Scheme};
 use gpm_mpc::HorizonMode;
 use gpm_telemetry::{validate_prometheus, Telemetry};
 use gpm_workloads::{workload_by_name, Workload};
+use gpm_xp::experiments::telemetry::ledger_pass;
 use gpm_xp::PhaseRow;
 use serde::Serialize;
 use std::process::ExitCode;
@@ -167,12 +169,13 @@ fn main() -> ExitCode {
     let byte_identical = clean_fp == instrumented_fp;
 
     let snapshot = telemetry.snapshot();
-    let prom = snapshot.to_prometheus();
-    let prom_check = validate_prometheus(&prom);
-    let dispatches = snapshot.counter("gpm_dispatches_total").unwrap_or(0);
-    let dispatch_spans = snapshot.span("env.dispatch").map_or(0, |s| s.count);
-    let spans_match = dispatches > 0 && dispatches == dispatch_spans;
     let phases = gpm_xp::phase_table(&snapshot);
+    let (summary, page_spans) = ledger_pass(&ctx, &workloads, scheme);
+    let prom = prometheus(&summary, &page_spans);
+    let prom_check = validate_prometheus(&prom);
+    let dispatches = summary.dispatches;
+    let dispatch_spans = page_spans.span("env.dispatch").map_or(0, |s| s.count);
+    let spans_match = dispatches > 0 && dispatches == dispatch_spans;
 
     println!(
         "telemetry overhead ({} workloads x {rounds} rounds, {}):",
@@ -237,7 +240,7 @@ fn main() -> ExitCode {
     }
     if !spans_match {
         eprintln!(
-            "FAIL: env.dispatch span count {dispatch_spans} != gpm_dispatches_total {dispatches}"
+            "FAIL: env.dispatch span count {dispatch_spans} != trace dispatches {dispatches}"
         );
         ok = false;
     }

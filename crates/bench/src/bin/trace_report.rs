@@ -6,11 +6,11 @@
 //! alone).
 //!
 //! The traced evaluation also runs under a live [`gpm_telemetry`]
-//! registry, and the report reconciles the *third* accounting layer
-//! against the first two: the `env.dispatch` span count and
-//! `gpm_dispatches_total` counter must agree exactly with the trace
-//! summary's dispatch count — metrics, traces, and governor stats are
-//! three views of the same decisions and may never drift.
+//! registry, whose `env.dispatch` span count must equal the trace
+//! summary's dispatch count. The Prometheus page is rendered from the
+//! trace summary itself ([`gpm_harness::report::prometheus`]), so its
+//! run, dispatch and decision-latency families agree with the trace by
+//! construction.
 //!
 //! Usage:
 //!
@@ -21,22 +21,23 @@
 //!
 //! `--json` exports the summary (plus energy/performance comparison) as a
 //! JSON report; `--jsonl` streams every raw event to a JSON Lines file;
-//! `--telemetry-out` writes the registry's Prometheus text exposition.
+//! `--telemetry-out` writes the Prometheus page.
 //! `--fast` (or env `GPM_BENCH_FAST=1`) uses the reduced measurement
 //! campaign, for CI smoke runs.
 //!
 //! Exits non-zero when the trace-derived statistics disagree with
-//! `MpcStats`, when the telemetry layer disagrees with the trace layer,
-//! or when the context's baseline cache fails to collapse the repeated
-//! Turbo Core baseline resolutions into a single simulation.
+//! `MpcStats`, when the dispatch span count disagrees with the trace,
+//! when the page fails validation, or when the context's baseline cache
+//! fails to collapse the repeated Turbo Core baseline resolutions into a
+//! single simulation.
 
 use gpm_bench::{bench_context, emit_artifact, fast_from_env};
 use gpm_harness::env::ExecEnv;
 use gpm_harness::metrics::Comparison;
-use gpm_harness::report::trace_summary_table;
+use gpm_harness::report::{prometheus, trace_summary_table};
 use gpm_harness::Scheme;
 use gpm_mpc::HorizonMode;
-use gpm_telemetry::Telemetry;
+use gpm_telemetry::{validate_prometheus, Telemetry};
 use gpm_trace::{AggregateSink, FanoutSink, JsonlSink, TraceSink, TraceSummary};
 use gpm_workloads::workload_by_name;
 use serde::Serialize;
@@ -52,7 +53,6 @@ struct TraceReport {
     baseline_simulations: u64,
     baseline_cache_hits: u64,
     telemetry_dispatch_spans: u64,
-    telemetry_dispatches_total: u64,
     summary: TraceSummary,
 }
 
@@ -132,7 +132,7 @@ fn main() -> ExitCode {
     let summary = agg.summary();
     let snapshot = telemetry.snapshot();
     let dispatch_spans = snapshot.span("env.dispatch").map_or(0, |s| s.count);
-    let dispatches_total = snapshot.counter("gpm_dispatches_total").unwrap_or(0);
+    let page = prometheus(&summary, &snapshot);
     let stats = out.mpc_stats.as_ref().expect("MPC scheme returns stats");
     let cache = ctx.baseline_stats();
     let vs_baseline = Comparison::between(&out.baseline, &out.measured);
@@ -147,17 +147,13 @@ fn main() -> ExitCode {
         "baseline cache: {} simulated, {} served from cache",
         cache.computed, cache.hits
     );
-    println!(
-        "telemetry: {} dispatch spans, {} dispatch counter increments",
-        dispatch_spans, dispatches_total
-    );
+    println!("telemetry: {dispatch_spans} dispatch spans");
 
     if let Some(path) = &args.telemetry_out {
         if let Some(parent) = std::path::Path::new(path).parent() {
             std::fs::create_dir_all(parent).expect("create telemetry output directory");
         }
-        std::fs::write(path, snapshot.to_prometheus())
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+        std::fs::write(path, &page).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("wrote {path}");
     }
 
@@ -170,7 +166,6 @@ fn main() -> ExitCode {
             baseline_simulations: cache.computed,
             baseline_cache_hits: cache.hits,
             telemetry_dispatch_spans: dispatch_spans,
-            telemetry_dispatches_total: dispatches_total,
             summary: summary.clone(),
         };
         emit_artifact(path, &report);
@@ -212,24 +207,17 @@ fn main() -> ExitCode {
     );
     ok &= check("context baseline computes", cache.computed as f64, 1.0);
     ok &= check("context baseline cache hits", cache.hits as f64, 1.0);
-    // Telemetry-vs-trace reconciliation: the span profiler and the
-    // metrics registry each count dispatches independently of the event
-    // stream; all three must agree decision-for-decision.
+    // The span profiler counts dispatches independently of the event
+    // stream; the two must agree decision-for-decision.
     ok &= check(
         "telemetry dispatch spans vs trace dispatches",
         dispatch_spans as f64,
         summary.dispatches as f64,
     );
-    ok &= check(
-        "telemetry dispatch counter vs trace dispatches",
-        dispatches_total as f64,
-        summary.dispatches as f64,
-    );
-    ok &= check(
-        "telemetry run counter",
-        snapshot.counter("gpm_runs_total").unwrap_or(0) as f64,
-        summary.runs as f64,
-    );
+    if let Err(e) = validate_prometheus(&page) {
+        eprintln!("INVALID Prometheus page: {e}");
+        ok = false;
+    }
     if ok {
         eprintln!("trace/stats/telemetry cross-check passed");
         ExitCode::SUCCESS

@@ -1,13 +1,12 @@
-//! Entry-point crate for the table/figure regeneration binaries.
+//! Entry-point crate for the reproduction and benchmark binaries.
 //!
 //! The experiment implementations, suite evaluation helpers, and
-//! artifact emission live in [`gpm_xp`]; every `fig*`/`table*` binary in
-//! `src/bin/` is a thin wrapper over [`gpm_xp::cli::run_single`], and
-//! the `reproduce` binary drives the whole registry through
-//! [`gpm_xp::cli::reproduce_main`]. The historical `gpm_bench::*` helper
-//! paths remain valid as re-exports so external scripts and the
-//! remaining standalone binaries (`trace_report`, `perf_smoke`,
-//! `robustness`) keep compiling.
+//! artifact emission live in [`gpm_xp`]; the `reproduce` binary drives
+//! the registry through [`gpm_xp::cli::reproduce_main`] — every
+//! figure, table and ablation runs as `reproduce --filter NAME`, which
+//! prints its report. The historical `gpm_bench::*` helper paths remain
+//! valid as re-exports for the standalone binaries (`trace_report`,
+//! `perf_smoke`, `robustness`, `fleet_bench`, `telemetry_overhead`).
 
 pub use gpm_xp::artifact::{emit_artifact, emit_svg, ARTIFACT_SCHEMA_VERSION};
 pub use gpm_xp::suite::{

@@ -54,11 +54,9 @@ impl FleetService {
     }
 
     /// Installs a fleet-level telemetry registry. Workers record
-    /// `fleet.worker`/`fleet.shard` spans plus bridge counters
-    /// (`gpm_fleet_jobs_total`, `gpm_fleet_shards_total`,
-    /// `gpm_fleet_fail_safe_total`) into it, and every shard additionally
-    /// gets a private per-shard registry whose snapshot lands in
-    /// [`ShardReport::telemetry`] and, merged, in
+    /// `fleet.worker`/`fleet.shard` spans into it, and every shard
+    /// additionally gets a private per-shard registry whose snapshot
+    /// lands in [`ShardReport::telemetry`] and, merged, in
     /// [`FleetRollup::telemetry`]. Snapshots carry wall-clock span
     /// timings, so they are `#[serde(skip)]`ed out of the artifact —
     /// the serialized [`FleetReport`] stays byte-identical for any
@@ -104,8 +102,8 @@ impl FleetService {
                 let results = &results;
                 let telemetry = self.telemetry.as_ref();
                 scope.spawn(move || {
-                    // Route spans and bridge counters from this worker
-                    // into the fleet registry; inert when none installed.
+                    // Route this worker's spans into the fleet registry;
+                    // inert when none installed.
                     let _enter = telemetry.map(|t| t.enter());
                     let _worker_span = gpm_telemetry::span("fleet.worker");
                     loop {
@@ -114,13 +112,6 @@ impl FleetService {
                             break;
                         };
                         let report = run_shard(&self.ctx, plan, telemetry.is_some());
-                        if let Some(t) = telemetry {
-                            t.counter("gpm_fleet_shards_total").inc();
-                            t.counter("gpm_fleet_jobs_total")
-                                .add(report.jobs.len() as u64);
-                            t.counter("gpm_fleet_fail_safe_total")
-                                .add(report.trace.fail_safe_events);
-                        }
                         results
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner)

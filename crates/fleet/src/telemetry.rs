@@ -9,6 +9,7 @@ use gpm_harness::{Comparison, SchemeOutcome};
 use gpm_telemetry::TelemetrySnapshot;
 use gpm_trace::TraceSummary;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// One evaluated (workload, scheme) pair on one shard.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,7 +91,7 @@ impl ShardReport {
 }
 
 /// Fleet-level rollup across every shard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FleetRollup {
     /// Shards executed.
     pub shards: usize,
@@ -121,40 +122,67 @@ pub struct FleetRollup {
 impl FleetRollup {
     /// Rolls up shard reports (assumed sorted by `shard_id`).
     pub fn from_shards(shards: &[ShardReport]) -> FleetRollup {
-        let mut trace = TraceSummary::default();
-        let mut telemetry: Option<TelemetrySnapshot> = None;
-        let mut energy_j = 0.0;
-        let mut ginstructions = 0.0;
-        let mut makespan_s = 0.0f64;
-        let mut jobs = 0;
+        let mut rollup = FleetRollup::default();
         for s in shards {
-            trace.merge(&s.trace);
-            if let Some(snap) = &s.telemetry {
-                telemetry
-                    .get_or_insert_with(TelemetrySnapshot::default)
-                    .merge(snap);
-            }
-            energy_j += s.energy_j;
-            ginstructions += s.ginstructions;
-            makespan_s = makespan_s.max(s.completion_s());
-            jobs += s.jobs.len();
+            rollup.merge(&FleetRollup {
+                shards: 1,
+                jobs: s.jobs.len(),
+                energy_j: s.energy_j,
+                ginstructions: s.ginstructions,
+                makespan_s: s.completion_s(),
+                throughput_gips: 0.0,
+                fail_safe_entries: s.trace.fail_safe_events,
+                fault_injections: s.trace.fault_injections,
+                trace: s.trace.clone(),
+                telemetry: s.telemetry.clone(),
+            });
         }
-        FleetRollup {
-            shards: shards.len(),
-            jobs,
-            energy_j,
-            ginstructions,
-            makespan_s,
-            throughput_gips: if makespan_s > 0.0 {
-                ginstructions / makespan_s
-            } else {
-                0.0
-            },
-            fail_safe_entries: trace.fail_safe_events,
-            fault_injections: trace.fault_injections,
-            trace,
-            telemetry,
+        rollup
+    }
+
+    /// Folds `other` in as if its shards had joined this fleet, which is
+    /// what [`FleetRollup::from_shards`] over both shard sets gives:
+    /// counts, energy, work, summaries and span profiles add, the
+    /// makespan is the later completion, and throughput follows from it.
+    pub fn merge(&mut self, other: &FleetRollup) {
+        self.shards += other.shards;
+        self.jobs += other.jobs;
+        self.energy_j += other.energy_j;
+        self.ginstructions += other.ginstructions;
+        self.makespan_s = self.makespan_s.max(other.makespan_s);
+        self.throughput_gips = if self.makespan_s > 0.0 {
+            self.ginstructions / self.makespan_s
+        } else {
+            0.0
+        };
+        self.fail_safe_entries += other.fail_safe_entries;
+        self.fault_injections += other.fault_injections;
+        self.trace.merge(&other.trace);
+        if let Some(snap) = &other.telemetry {
+            self.telemetry
+                .get_or_insert_with(Default::default)
+                .merge(snap);
         }
+    }
+
+    /// The rollup's Prometheus page: the decision families and span
+    /// profile of [`gpm_harness::report::prometheus`] over the merged
+    /// trace and shard spans, then the `gpm_fleet_shards_total`,
+    /// `gpm_fleet_jobs_total` and `gpm_fleet_fail_safe_total` counters.
+    /// The baseline cache split is normalized out of fleet traces (see
+    /// [`ShardReport::baseline_resolutions`]), so the page carries no
+    /// baseline series.
+    pub fn to_prometheus(&self) -> String {
+        let spans = self.telemetry.clone().unwrap_or_default();
+        let mut page = gpm_harness::report::prometheus(&self.trace, &spans);
+        for (family, value) in [
+            ("gpm_fleet_shards_total", self.shards as u64),
+            ("gpm_fleet_jobs_total", self.jobs as u64),
+            ("gpm_fleet_fail_safe_total", self.fail_safe_entries),
+        ] {
+            let _ = writeln!(page, "# TYPE {family} counter\n{family} {value}");
+        }
+        page
     }
 }
 
@@ -219,6 +247,22 @@ mod tests {
         // Shard 0 completes at 2.0 s, shard 1 at 1.5 s.
         assert!((r.makespan_s - 2.0).abs() < 1e-12);
         assert!((r.throughput_gips - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn merged_rollups_equal_the_rollup_of_all_shards() {
+        let shards = vec![
+            shard(0, 0.0, 2.0, 10.0, 4.0),
+            shard(1, 0.5, 1.0, 6.0, 2.0),
+            shard(2, 3.0, 0.5, 1.0, 1.0),
+        ];
+        let mut merged = FleetRollup::from_shards(&shards[..1]);
+        merged.merge(&FleetRollup::from_shards(&shards[1..]));
+        assert_eq!(merged, FleetRollup::from_shards(&shards));
+        let page = merged.to_prometheus();
+        gpm_telemetry::validate_prometheus(&page).unwrap();
+        assert!(page.contains("gpm_fleet_shards_total 3\n"));
+        assert!(page.contains("gpm_fleet_jobs_total 3\n"));
     }
 
     #[test]

@@ -47,15 +47,10 @@ use gpm_faults::{no_faults, FaultInjector, FaultKey, FaultPlan};
 use gpm_governors::{Governor, KernelContext, PerfTarget};
 use gpm_hw::HwConfig;
 use gpm_sim::{EnergyBreakdown, KernelOutcome, Platform};
-use gpm_telemetry::{Counter, Histo, Telemetry};
+use gpm_telemetry::Telemetry;
 use gpm_trace::{noop_sink, FailSafeReason, FaultChannelKind, TraceEvent, TraceSink};
 use gpm_workloads::Workload;
 use std::sync::Arc;
-
-/// Bucket boundaries for the `gpm_decision_seconds` latency histogram:
-/// the simulated optimizer overhead per decision, 1 µs … 10 ms decades
-/// (the same decades as `TraceSummary::decision_latency`).
-pub const DECISION_LATENCY_BOUNDS: &[f64] = &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2];
 
 /// A builder-constructed execution environment: the single dispatch path
 /// for replaying workloads under governors.
@@ -73,8 +68,8 @@ pub struct ExecEnv {
     /// [`FaultyPredictor`](gpm_faults::FaultyPredictor), which clones a
     /// plan rather than sharing a trait object.
     plan: FaultPlan,
-    /// Metrics/span registry entered for the duration of each replay,
-    /// when installed via [`ExecEnv::with_telemetry`].
+    /// Span registry entered for the duration of each replay, when
+    /// installed via [`ExecEnv::with_telemetry`].
     telemetry: Option<Telemetry>,
 }
 
@@ -115,22 +110,13 @@ impl ExecEnv {
         self
     }
 
-    /// Installs a custom fault injector on the dispatch path only.
-    /// Prefer [`ExecEnv::with_fault_plan`] for plan-driven studies —
-    /// with a bare injector, scheme predictors stay clean because there
-    /// is no concrete plan to wrap them with.
-    #[must_use]
-    pub fn with_fault_injector(mut self, faults: Arc<dyn FaultInjector>) -> ExecEnv {
-        self.faults = faults;
-        self
-    }
-
     /// Installs a telemetry registry as replay middleware. For the
     /// duration of every [`ExecEnv::run`] and [`ExecEnv::baseline`] the
-    /// registry is the thread-current one, so phase spans emitted by
-    /// deeper layers (`rf.fit`, `flat.specialize`, `search.*`) land in
-    /// it, and the replay loop records dispatch/decision metrics into
-    /// it. Telemetry is strictly read-only observability: an
+    /// registry is the thread-current one, so the replay loop's
+    /// `env.dispatch` spans and the phase spans emitted by deeper layers
+    /// (`rf.fit`, `flat.specialize`, `search.*`) land in it. Decision
+    /// facts are counted by the trace sink, not here. Telemetry is
+    /// strictly read-only observability: an
     /// environment with a registry produces byte-identical results to
     /// one without (pinned by `tests/execenv_equivalence.rs`).
     #[must_use]
@@ -225,11 +211,6 @@ impl ExecEnv {
         let _enter = self.telemetry.as_ref().map(|t| t.enter());
         let _span = gpm_telemetry::span("baseline.resolve");
         let ((result, target), cached) = ctx.resolve_baseline(workload);
-        if let Some(t) = Telemetry::current() {
-            let label = if cached { "hit" } else { "miss" };
-            t.counter_with("gpm_baseline_resolutions_total", &[("cache", label)])
-                .inc();
-        }
         if self.sink.enabled() {
             self.sink.record(&TraceEvent::BaselineResolved {
                 run_index: 0,
@@ -246,13 +227,6 @@ struct Middleware<'a> {
     sink: &'a dyn TraceSink,
     faults: &'a dyn FaultInjector,
     telemetry: Option<&'a Telemetry>,
-}
-
-/// Metric handles resolved once per replay (registration is the only
-/// locking step; per-kernel writes are striped atomics).
-struct ReplayMetrics {
-    dispatches: Counter,
-    decision_latency: Histo,
 }
 
 /// The core replay loop. Every replay — [`ExecEnv::run`] and everything
@@ -276,13 +250,6 @@ fn replay(
     // `env.dispatch`. Without one, spans route to whatever registry the
     // caller entered (e.g. the xp runner's), or nowhere.
     let _enter = telemetry.map(|t| t.enter());
-    let metrics = Telemetry::current().map(|t| {
-        t.counter("gpm_runs_total").inc();
-        ReplayMetrics {
-            dispatches: t.counter("gpm_dispatches_total"),
-            decision_latency: t.histogram("gpm_decision_seconds", DECISION_LATENCY_BOUNDS),
-        }
-    });
     let tracing = sink.enabled();
     let injecting = faults.enabled();
     if tracing {
@@ -324,10 +291,6 @@ fn replay(
             });
         }
         let decision = governor.select(&ctx);
-        if let Some(m) = &metrics {
-            m.dispatches.inc();
-            m.decision_latency.record(decision.overhead_s);
-        }
         if tracing {
             sink.record(&TraceEvent::Decision {
                 run_index,
@@ -548,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_env_records_dispatch_metrics_and_spans() {
+    fn telemetry_env_records_dispatch_spans() {
         let sim = ApuSimulator::noiseless();
         let w = workload_by_name("Spmv").unwrap();
         let tel = Telemetry::new();
@@ -557,11 +520,6 @@ mod tests {
         let mut gov = FixedGovernor::new(HwConfig::FAIL_SAFE);
         let res = env.run(&sim, &w, &mut gov, PerfTarget::new(1.0, 1.0), 0, false);
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("gpm_runs_total"), Some(1));
-        assert_eq!(
-            snap.counter("gpm_dispatches_total"),
-            Some(res.per_kernel.len() as u64)
-        );
         let dispatch = snap.span("env.dispatch").unwrap();
         assert_eq!(dispatch.count, res.per_kernel.len() as u64);
         // The replay un-enters its registry on return.

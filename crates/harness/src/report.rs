@@ -1,4 +1,5 @@
-//! Plain-text table and CSV rendering for the experiment binaries.
+//! Plain-text table and CSV rendering for the experiment binaries, and
+//! the Prometheus page derived from a trace summary.
 
 use std::fmt::Write as _;
 
@@ -195,6 +196,62 @@ pub fn trace_summary_table(s: &gpm_trace::TraceSummary) -> Table {
     t.row(vec!["min headroom (s)".into(), fmt(s.min_headroom_s, 4)]);
     t.row(vec!["mean headroom (s)".into(), fmt(s.mean_headroom_s, 4)]);
     t
+}
+
+/// Renders the Prometheus text exposition page of one decision ledger.
+///
+/// Every decision family is a view of the trace stream summarized in
+/// `summary`, so the page cannot disagree with it:
+///
+/// | family | trace fact |
+/// |---|---|
+/// | `gpm_runs_total` | `RunStart` events |
+/// | `gpm_dispatches_total` | `Dispatch` events |
+/// | `gpm_decision_seconds` (+ `_rejected`) | `TraceSummary::decision_latency` |
+/// | `gpm_baseline_resolutions_total{cache}` | `BaselineResolved{cached}` |
+///
+/// A baseline series appears once its count is non-zero. The span
+/// families of `spans` ([`TelemetrySnapshot::to_prometheus`]) follow.
+/// Output is deterministic and passes
+/// [`gpm_telemetry::validate_prometheus`].
+///
+/// [`TelemetrySnapshot::to_prometheus`]: gpm_telemetry::TelemetrySnapshot::to_prometheus
+pub fn prometheus(
+    summary: &gpm_trace::TraceSummary,
+    spans: &gpm_telemetry::TelemetrySnapshot,
+) -> String {
+    let mut out = String::new();
+    let h = &summary.decision_latency;
+    let _ = writeln!(out, "# TYPE gpm_runs_total counter");
+    let _ = writeln!(out, "gpm_runs_total {}", summary.runs);
+    let _ = writeln!(out, "# TYPE gpm_dispatches_total counter");
+    let _ = writeln!(out, "gpm_dispatches_total {}", summary.dispatches);
+    let _ = writeln!(out, "# TYPE gpm_decision_seconds histogram");
+    let mut cum = 0;
+    for (i, c) in h.counts.iter().enumerate() {
+        cum += c;
+        let le = h.bounds.get(i).map_or("+Inf".to_string(), f64::to_string);
+        let _ = writeln!(out, "gpm_decision_seconds_bucket{{le=\"{le}\"}} {cum}");
+    }
+    let _ = writeln!(out, "gpm_decision_seconds_sum {}", h.sum);
+    let _ = writeln!(out, "gpm_decision_seconds_count {}", h.n);
+    let _ = writeln!(out, "# TYPE gpm_decision_seconds_rejected counter");
+    let _ = writeln!(out, "gpm_decision_seconds_rejected {}", h.rejected);
+    let baselines = [
+        ("hit", summary.baseline_cache_hits),
+        ("miss", summary.baseline_simulations),
+    ];
+    if baselines.iter().any(|&(_, n)| n > 0) {
+        let _ = writeln!(out, "# TYPE gpm_baseline_resolutions_total counter");
+        for (cache, n) in baselines.into_iter().filter(|&(_, n)| n > 0) {
+            let _ = writeln!(
+                out,
+                "gpm_baseline_resolutions_total{{cache=\"{cache}\"}} {n}"
+            );
+        }
+    }
+    out.push_str(&spans.to_prometheus());
+    out
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 //! Microbenchmark for the telemetry primitives' unit costs.
 //!
-//! Prints the per-operation cost of a span guard (open + close), a
-//! counter increment through a pre-registered handle, a bare
+//! Prints the per-operation cost of a span guard (open + close), a bare
 //! `Instant::now()` (two of which are the hard floor under every span),
 //! and an *inert* span — the free-function guard on a thread with no
 //! registry entered, which is what uninstrumented library callers pay.
@@ -35,14 +34,6 @@ fn main() {
         }
     });
     println!("span open+close   : {hot:.1} ns");
-
-    let c = t.counter("guard_cost_iters_total");
-    let inc = per_op(n, || {
-        for _ in 0..n {
-            c.inc();
-        }
-    });
-    println!("counter inc       : {inc:.1} ns");
 
     let now = per_op(n, || {
         for _ in 0..n {

@@ -1,6 +1,6 @@
-//! Exporters over a [`TelemetrySnapshot`]: Prometheus text exposition,
-//! chrome://tracing JSON (loadable in Perfetto / `chrome://tracing`),
-//! and folded stacks for flamegraph tooling.
+//! Exporters over a [`TelemetrySnapshot`]: the span families of the
+//! Prometheus text page, chrome://tracing JSON (loadable in Perfetto /
+//! `chrome://tracing`), and folded stacks for flamegraph tooling.
 //!
 //! The Prometheus renderer is paired with [`validate_prometheus`], a
 //! strict parser of the text exposition format used by the test suite
@@ -9,17 +9,10 @@
 //! histogram bucket series cumulative with a terminal `+Inf` bucket
 //! equal to `_count`.
 
-use crate::registry::{MetricData, Telemetry, TelemetrySnapshot};
+use crate::registry::{Telemetry, TelemetrySnapshot};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-
-/// Escapes a Prometheus label value (backslash, quote, newline).
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
 
 /// Renders a sample value: decimal notation, `+Inf`/`-Inf`/`NaN`.
 fn render_value(v: f64) -> String {
@@ -34,140 +27,52 @@ fn render_value(v: f64) -> String {
     }
 }
 
-fn render_labels(labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let inner: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-        .collect();
-    format!("{{{}}}", inner.join(","))
-}
-
-/// Labels plus one extra pair appended (used for `le`).
-fn with_label(labels: &[(String, String)], key: &str, value: &str) -> String {
-    let mut all: Vec<(String, String)> = labels.to_vec();
-    all.push((key.to_string(), value.to_string()));
-    render_labels(&all)
+/// Renders one `{key="value"}` label block, escaping backslash, quote
+/// and newline in the value.
+fn label(key: &str, value: &str) -> String {
+    let escaped = value
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n");
+    format!("{{{key}=\"{escaped}\"}}")
 }
 
 impl TelemetrySnapshot {
-    /// Renders the snapshot in the Prometheus text exposition format.
-    ///
-    /// Metric kinds map directly (`counter`, `gauge`, `histogram` with
-    /// cumulative `_bucket`/`_sum`/`_count` series and a `+Inf`
-    /// bucket); log2-HDR histograms render as Prometheus histograms
-    /// with power-of-two bounds, skipping empty interior buckets (the
-    /// series stays cumulative). Fixed-bucket rejection counts surface
-    /// as `<name>_rejected` counters, and span rows as the
-    /// `gpm_span_count` / `gpm_span_seconds` / `gpm_span_self_seconds`
-    /// counter families labeled by `;`-joined path. Output is
-    /// deterministic for a given snapshot and always passes
+    /// Renders the span rows in the Prometheus text exposition format:
+    /// the `gpm_span_count` / `gpm_span_seconds` /
+    /// `gpm_span_self_seconds` counter families labelled by `;`-joined
+    /// path (empty for an empty snapshot). Decision facts are not here:
+    /// `gpm_harness::report::prometheus` prepends them from the trace
+    /// summary. Output is deterministic and passes
     /// [`validate_prometheus`].
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        let mut declared: std::collections::HashSet<String> = std::collections::HashSet::new();
-        let mut type_line = |out: &mut String, name: &str, kind: &str| {
-            if declared.insert(name.to_string()) {
-                let _ = writeln!(out, "# TYPE {name} {kind}");
-            }
-        };
-        for m in &self.metrics {
-            let labels = render_labels(&m.labels);
-            match &m.data {
-                MetricData::Counter { value } => {
-                    type_line(&mut out, &m.name, "counter");
-                    let _ = writeln!(out, "{}{labels} {value}", m.name);
-                }
-                MetricData::Gauge { value, .. } => {
-                    type_line(&mut out, &m.name, "gauge");
-                    let _ = writeln!(out, "{}{labels} {}", m.name, render_value(*value));
-                }
-                MetricData::Histogram {
-                    bounds,
-                    counts,
-                    sum,
-                    count,
-                    rejected,
-                } => {
-                    type_line(&mut out, &m.name, "histogram");
-                    let mut cum = 0u64;
-                    for (i, c) in counts.iter().enumerate() {
-                        cum += c;
-                        let le = bounds
-                            .get(i)
-                            .map(|b| render_value(*b))
-                            .unwrap_or_else(|| "+Inf".to_string());
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {cum}",
-                            m.name,
-                            with_label(&m.labels, "le", &le)
-                        );
-                    }
-                    let _ = writeln!(out, "{}_sum{labels} {}", m.name, render_value(*sum));
-                    let _ = writeln!(out, "{}_count{labels} {count}", m.name);
-                    if *rejected > 0 {
-                        let rname = format!("{}_rejected", m.name);
-                        type_line(&mut out, &rname, "counter");
-                        let _ = writeln!(out, "{rname}{labels} {rejected}");
-                    }
-                }
-                MetricData::Log2 { counts, sum, count } => {
-                    type_line(&mut out, &m.name, "histogram");
-                    let mut cum = 0u64;
-                    for (i, c) in counts.iter().enumerate() {
-                        cum += c;
-                        if *c == 0 {
-                            continue;
-                        }
-                        let le = render_value((1u128 << i) as f64);
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {cum}",
-                            m.name,
-                            with_label(&m.labels, "le", &le)
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{}_bucket{} {cum}",
-                        m.name,
-                        with_label(&m.labels, "le", "+Inf")
-                    );
-                    let _ = writeln!(out, "{}_sum{labels} {sum}", m.name);
-                    let _ = writeln!(out, "{}_count{labels} {count}", m.name);
-                }
-            }
+        let rows: Vec<(String, [String; 3])> = self
+            .spans
+            .iter()
+            .map(|s| {
+                let values = [
+                    s.count.to_string(),
+                    render_value(s.total_ns as f64 / 1e9),
+                    render_value(s.self_ns as f64 / 1e9),
+                ];
+                (label("path", &s.path), values)
+            })
+            .collect();
+        if rows.is_empty() {
+            return out;
         }
-        if !self.spans.is_empty() {
-            out.push_str("# TYPE gpm_span_count counter\n");
-            for s in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "gpm_span_count{} {}",
-                    with_label(&[], "path", &s.path),
-                    s.count
-                );
-            }
-            out.push_str("# TYPE gpm_span_seconds counter\n");
-            for s in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "gpm_span_seconds{} {}",
-                    with_label(&[], "path", &s.path),
-                    render_value(s.total_ns as f64 / 1e9)
-                );
-            }
-            out.push_str("# TYPE gpm_span_self_seconds counter\n");
-            for s in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "gpm_span_self_seconds{} {}",
-                    with_label(&[], "path", &s.path),
-                    render_value(s.self_ns as f64 / 1e9)
-                );
+        for (i, family) in [
+            "gpm_span_count",
+            "gpm_span_seconds",
+            "gpm_span_self_seconds",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let _ = writeln!(out, "# TYPE {family} counter");
+            for (labels, values) in &rows {
+                let _ = writeln!(out, "{family}{labels} {}", values[i]);
             }
         }
         out
@@ -463,22 +368,10 @@ pub fn validate_prometheus(text: &str) -> Result<PromStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span;
+    use crate::{span, SpanRow};
 
     fn populated() -> Telemetry {
         let t = Telemetry::with_events(64);
-        t.counter("gpm_jobs_total").add(7);
-        t.counter_with("gpm_jobs_total", &[("shard", "a b\"c\\")])
-            .add(2);
-        t.gauge("gpm_workers").set(4.0);
-        let h = t.histogram("gpm_decision_seconds", &[0.001, 0.01, 0.1]);
-        for v in [0.0005, 0.005, 0.05, 5.0] {
-            h.record(v);
-        }
-        h.record(f64::NAN);
-        let l = t.log2_histogram("gpm_span_ns_hdr");
-        l.record(100);
-        l.record(5000);
         {
             let _e = t.enter();
             let _outer = span("env.dispatch");
@@ -488,16 +381,19 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_page_round_trips_through_the_validator() {
-        let t = populated();
-        let page = t.snapshot().to_prometheus();
+    fn span_families_escape_paths_and_validate() {
+        let mut snap = populated().snapshot();
+        snap.spans.push(SpanRow {
+            path: "a b\"c\\".to_string(),
+            count: 2,
+            total_ns: 10,
+            self_ns: 10,
+        });
+        let page = snap.to_prometheus();
         let stats = validate_prometheus(&page).expect("rendered page must validate");
-        assert!(stats.families >= 7, "families: {stats:?}\n{page}");
-        assert_eq!(stats.histograms, 2);
-        assert!(page.contains("gpm_jobs_total{shard=\"a b\\\"c\\\\\"} 2"));
-        assert!(page.contains("gpm_decision_seconds_bucket{le=\"+Inf\"} 4"));
-        assert!(page.contains("gpm_decision_seconds_rejected 1"));
+        assert_eq!((stats.families, stats.samples), (3, 9), "{page}");
         assert!(page.contains("gpm_span_count{path=\"env.dispatch;search.hill_climb\"} 1"));
+        assert!(page.contains("gpm_span_count{path=\"a b\\\"c\\\\\"} 2"));
     }
 
     #[test]

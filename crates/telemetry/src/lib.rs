@@ -1,31 +1,27 @@
-//! Fleet-wide production telemetry: a low-overhead metrics registry plus
-//! a hierarchical span profiler, with Prometheus / chrome-trace /
-//! flamegraph exporters.
+//! Phase-time telemetry: a hierarchical span profiler plus the
+//! Prometheus page, chrome-trace and flamegraph exporters.
 //!
-//! Where `gpm-trace` answers *what did the governor decide* (a typed
-//! per-decision event stream), this crate answers *where
-//! does the time go and how is the service behaving* — the
-//! machine-scrapable counters, latency distributions, and phase
-//! attribution a long-running fleet needs. The two layers are
-//! complementary and share merge semantics: per-shard snapshots fold into
-//! fleet rollups exactly like `TraceSummary::merge`.
+//! `gpm-trace` is the one ledger of decision facts — every run,
+//! dispatch, decision latency and baseline resolution is a typed
+//! `TraceEvent`. This crate answers the other question, *where does the
+//! time go*. The Prometheus page is a view over both:
+//! `gpm_harness::report::prometheus` renders the decision families from
+//! a `TraceSummary` and appends the span families of a
+//! [`TelemetrySnapshot`], so the page cannot drift from the trace.
 //!
 //! # Layers
 //!
-//! * [`registry`] — the [`Telemetry`] handle: interned
-//!   ([`MetricId`]-keyed) counters, gauges, fixed-bucket histograms, and
-//!   log2-HDR histograms, all striped across [`STRIPES`] atomic cells so
-//!   concurrent writers on the hot path never contend on one cache line;
-//!   [`TelemetrySnapshot`] freezes the registry into a serializable,
-//!   mergeable value.
+//! * [`registry`] — the [`Telemetry`] handle and [`TelemetrySnapshot`],
+//!   its frozen span rows, mergeable across shards like
+//!   `TraceSummary::merge`.
 //! * [`mod@span`] — RAII span guards ([`Telemetry::span`] or the free
 //!   [`span()`] routed through the thread's *current* handle) recording
 //!   count, total, and **self** time (total minus child spans) into
 //!   per-thread span trees — the hot path takes one uncontended lock and
 //!   allocates nothing once a span name has been seen.
-//! * [`export`] — three renderers over a snapshot: Prometheus text
-//!   exposition (plus [`export::validate_prometheus`]), chrome://tracing
-//!   JSON (loadable in Perfetto), and folded stacks for flamegraphs.
+//! * [`export`] — the span families of the Prometheus text page (plus
+//!   [`validate_prometheus`]), chrome://tracing JSON (loadable in
+//!   Perfetto), and folded stacks for flamegraphs.
 //!
 //! # Wiring
 //!
@@ -35,7 +31,7 @@
 //! instrumented library code needs no plumbing:
 //!
 //! ```
-//! use gpm_telemetry::{span, Telemetry};
+//! use gpm_telemetry::{span, validate_prometheus, Telemetry};
 //!
 //! let t = Telemetry::new();
 //! {
@@ -43,11 +39,11 @@
 //!     let _outer = span("search.hill_climb");
 //!     let _inner = span("flat.specialize"); // child of hill_climb
 //! }
-//! t.counter("gpm_decisions_total").add(3);
 //! let snap = t.snapshot();
-//! assert_eq!(snap.counter("gpm_decisions_total"), Some(3));
 //! assert_eq!(snap.span("search.hill_climb").unwrap().count, 1);
-//! assert!(snap.to_prometheus().contains("gpm_decisions_total 3"));
+//! let page = snap.to_prometheus();
+//! assert!(page.contains("gpm_span_count{path=\"search.hill_climb;flat.specialize\"} 1"));
+//! assert!(validate_prometheus(&page).is_ok());
 //! ```
 //!
 //! Telemetry is strictly read-only observability: installing or removing
@@ -63,8 +59,5 @@ pub mod registry;
 pub mod span;
 
 pub use export::{validate_prometheus, PromStats};
-pub use registry::{
-    Counter, Gauge, Histo, Log2Histo, MetricData, MetricId, MetricValue, SpanRow, Telemetry,
-    TelemetrySnapshot, STRIPES,
-};
+pub use registry::{SpanRow, Telemetry, TelemetrySnapshot};
 pub use span::{span, EnterGuard, SpanGuard};

@@ -1,130 +1,78 @@
 //! Property tests for [`TelemetrySnapshot::merge`], mirroring the
-//! `TraceSummary::merge` suite in `gpm-trace`: merging per-chunk
-//! registries over a partitioned metric-event stream — in any chunking
-//! and any association order — agrees with one registry having observed
-//! every event. Sample values are small integers (exactly representable
-//! in `f64`), so every assertion is exact equality, including histogram
-//! sums.
+//! `TraceSummary::merge` suite in `gpm-trace`: folding per-chunk span
+//! snapshots — in any chunking, association order or shard order —
+//! agrees with one snapshot holding every row. Span timings are
+//! integers, so every assertion is exact equality.
 
-use gpm_telemetry::{Telemetry, TelemetrySnapshot};
+use gpm_telemetry::{SpanRow, TelemetrySnapshot};
 use proptest::prelude::*;
 
-const COUNTERS: [&str; 3] = ["gpm_a_total", "gpm_b_total", "gpm_c_total"];
-const HISTOS: [(&str, &[f64]); 2] = [("gpm_h_small", &[2.0, 8.0, 32.0]), ("gpm_h_wide", &[100.0])];
-const SHARD_LABELS: [&str; 2] = ["0", "1"];
+const PATHS: [&str; 4] = [
+    "env.dispatch",
+    "env.dispatch;search.hill_climb",
+    "fleet.worker;fleet.shard",
+    "xp.experiment",
+];
 
-/// One metric event. Gauges are absent on purpose: their last-write
-/// semantics are inherently order-dependent, and their merge is defined
-/// as an additive roll-up, not single-sink agreement.
-#[derive(Debug, Clone)]
-enum Ev {
-    Counter {
-        which: usize,
-        n: u64,
-    },
-    LabeledCounter {
-        which: usize,
-        shard: usize,
-        n: u64,
-    },
-    Histogram {
-        which: usize,
-        value: u16,
-        negate: bool,
-    },
-    NonFinite {
-        which: usize,
-    },
-    Log2 {
-        value: u64,
-    },
+fn row_strategy() -> impl Strategy<Value = SpanRow> {
+    (
+        0usize..PATHS.len(),
+        1u64..50,
+        0u64..1_000_000,
+        0u64..1_000_000,
+    )
+        .prop_map(|(p, count, a, b)| SpanRow {
+            path: PATHS[p].to_string(),
+            count,
+            total_ns: a.max(b),
+            self_ns: a.min(b),
+        })
 }
 
-fn ev_strategy() -> impl Strategy<Value = Ev> {
-    prop_oneof![
-        (0usize..COUNTERS.len(), 1u64..100).prop_map(|(which, n)| Ev::Counter { which, n }),
-        (
-            0usize..COUNTERS.len(),
-            0usize..SHARD_LABELS.len(),
-            1u64..100
-        )
-            .prop_map(|(which, shard, n)| Ev::LabeledCounter { which, shard, n }),
-        (
-            0usize..HISTOS.len(),
-            0u16..2000,
-            proptest::strategy::AnyBool
-        )
-            .prop_map(|(which, value, negate)| Ev::Histogram {
-                which,
-                value,
-                negate,
-            }),
-        (0usize..HISTOS.len()).prop_map(|which| Ev::NonFinite { which }),
-        (0u64..(1u64 << 40)).prop_map(|value| Ev::Log2 { value }),
-    ]
-}
-
-fn apply(t: &Telemetry, events: &[Ev]) {
-    for ev in events {
-        match ev {
-            Ev::Counter { which, n } => t.counter(COUNTERS[*which]).add(*n),
-            Ev::LabeledCounter { which, shard, n } => t
-                .counter_with(COUNTERS[*which], &[("shard", SHARD_LABELS[*shard])])
-                .add(*n),
-            Ev::Histogram {
-                which,
-                value,
-                negate,
-            } => {
-                let (name, bounds) = HISTOS[*which];
-                let v = *value as f64 * if *negate { -1.0 } else { 1.0 };
-                t.histogram(name, bounds).record(v);
-            }
-            Ev::NonFinite { which } => {
-                let (name, bounds) = HISTOS[*which];
-                t.histogram(name, bounds).record(f64::NAN);
-            }
-            Ev::Log2 { value } => t.log2_histogram("gpm_ns").record(*value),
-        }
+/// One snapshot per row, folded in order — the per-shard rollup shape.
+fn fold(rows: &[SpanRow]) -> TelemetrySnapshot {
+    let mut acc = TelemetrySnapshot::default();
+    for r in rows {
+        acc.merge(&TelemetrySnapshot {
+            spans: vec![r.clone()],
+        });
     }
-}
-
-fn summarize(events: &[Ev]) -> TelemetrySnapshot {
-    let t = Telemetry::new();
-    apply(&t, events);
-    t.snapshot()
+    acc
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Chunked registries merged in order == one registry over the
-    /// whole stream, for any chunk boundaries over any event mix.
+    /// Chunked snapshots merged in order == one fold over every row, and
+    /// the result has one sorted row per path whose counts add up.
     #[test]
-    fn chunked_merge_agrees_with_single_registry(
-        events in prop::collection::vec(ev_strategy(), 1..120),
-        cuts in prop::collection::vec(0usize..120, 0..4),
+    fn chunked_merge_agrees_with_single_fold(
+        rows in prop::collection::vec(row_strategy(), 1..80),
+        cuts in prop::collection::vec(0usize..80, 0..4),
     ) {
-        let whole = summarize(&events);
-        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (events.len() + 1)).collect();
+        let whole = fold(&rows);
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (rows.len() + 1)).collect();
         bounds.push(0);
-        bounds.push(events.len());
+        bounds.push(rows.len());
         bounds.sort_unstable();
         let mut merged = TelemetrySnapshot::default();
         for pair in bounds.windows(2) {
-            merged.merge(&summarize(&events[pair[0]..pair[1]]));
+            merged.merge(&fold(&rows[pair[0]..pair[1]]));
         }
-        prop_assert_eq!(merged, whole);
+        prop_assert_eq!(&merged, &whole);
+        prop_assert!(whole.spans.windows(2).all(|w| w[0].path < w[1].path));
+        let count: u64 = rows.iter().map(|r| r.count).sum();
+        prop_assert_eq!(whole.spans.iter().map(|r| r.count).sum::<u64>(), count);
     }
 
     /// Merge is associative: (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c) exactly.
     #[test]
     fn merge_is_associative(
-        a in prop::collection::vec(ev_strategy(), 0..40),
-        b in prop::collection::vec(ev_strategy(), 0..40),
-        c in prop::collection::vec(ev_strategy(), 0..40),
+        a in prop::collection::vec(row_strategy(), 0..30),
+        b in prop::collection::vec(row_strategy(), 0..30),
+        c in prop::collection::vec(row_strategy(), 0..30),
     ) {
-        let (sa, sb, sc) = (summarize(&a), summarize(&b), summarize(&c));
+        let (sa, sb, sc) = (fold(&a), fold(&b), fold(&c));
         let mut left = sa.clone();
         left.merge(&sb);
         left.merge(&sc);
@@ -135,22 +83,22 @@ proptest! {
         prop_assert_eq!(left, right);
     }
 
-    /// A reshuffled stream snapshots identically — which worker thread
-    /// recorded which event can never leak into a rollup.
+    /// A reshuffled row stream folds identically — which worker thread
+    /// closed which span can never leak into a rollup.
     #[test]
     fn aggregation_is_order_insensitive(
-        events in prop::collection::vec(ev_strategy(), 1..80),
-        rot in 0usize..80,
+        rows in prop::collection::vec(row_strategy(), 1..60),
+        rot in 0usize..60,
     ) {
-        let mut rotated = events.clone();
-        rotated.rotate_left(rot % events.len());
-        prop_assert_eq!(summarize(&rotated), summarize(&events));
+        let mut rotated = rows.clone();
+        rotated.rotate_left(rot % rows.len());
+        prop_assert_eq!(fold(&rotated), fold(&rows));
     }
 
     /// Merging with an empty snapshot is the identity, both ways.
     #[test]
-    fn empty_is_identity(events in prop::collection::vec(ev_strategy(), 0..60)) {
-        let s = summarize(&events);
+    fn empty_is_identity(rows in prop::collection::vec(row_strategy(), 0..40)) {
+        let s = fold(&rows);
         let mut left = s.clone();
         left.merge(&TelemetrySnapshot::default());
         prop_assert_eq!(&left, &s);

@@ -77,6 +77,23 @@ impl Histogram {
         self.n
     }
 
+    /// An upper bound on the `q`-quantile (`q` clamped to 0..=1): the
+    /// smallest bucket boundary whose cumulative count reaches `q * n`,
+    /// or infinity when that sample sits in the open-ended top bucket.
+    /// `None` when no finite sample was recorded.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        if self.n == 0 {
+            return None;
+        }
+        let target = (q.clamp(0.0, 1.0) * self.n as f64).ceil().max(1.0) as u64;
+        let mut cum = 0u64;
+        let idx = self.counts.iter().position(|c| {
+            cum += c;
+            cum >= target
+        })?;
+        Some(self.bounds.get(idx).copied().unwrap_or(f64::INFINITY))
+    }
+
     /// Folds another histogram over the same boundaries into this one.
     ///
     /// # Panics
@@ -473,6 +490,22 @@ mod tests {
         // And far below the first bound lands in the bottom bucket.
         h.record(f64::MIN);
         assert_eq!(h.counts, vec![1, 0, 3]);
+    }
+
+    #[test]
+    fn quantile_reads_bucket_upper_bounds() {
+        let mut h = Histogram::new(vec![0.001, 0.01, 0.1]);
+        assert_eq!(h.quantile(0.5), None);
+        for _ in 0..98 {
+            h.record(0.0005);
+        }
+        h.record(0.05);
+        h.record(0.05);
+        h.record(f64::NAN); // rejected, not ranked
+        assert_eq!(h.quantile(0.5), Some(0.001));
+        assert_eq!(h.quantile(0.99), Some(0.1));
+        h.record(5.0);
+        assert_eq!(h.quantile(1.0), Some(f64::INFINITY));
     }
 
     #[test]

@@ -1,51 +1,13 @@
-//! Command-line entry points: `reproduce_main` backs the `reproduce`
-//! binary; `run_single` backs the legacy per-figure wrapper binaries.
+//! Command-line entry point: `reproduce_main` backs the `reproduce`
+//! binary.
 
 use crate::experiment::Mode;
 use crate::golden::default_tolerance;
-use crate::registry::{find, registry};
+use crate::registry::registry;
 use crate::runner::{run_suite, ExperimentRecord, RunConfig};
-use crate::suite::fast_from_env;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// Runs one registered experiment (the legacy binary path): builds a
-/// context if needed, prints the rendered report to stdout, writes the
-/// schema-versioned artifact, and exits nonzero on gate failure.
-///
-/// Mode comes from `GPM_BENCH_FAST` (any value but `0`), preserving the
-/// wrappers' historical interface.
-pub fn run_single(name: &str) -> ExitCode {
-    let mode = if fast_from_env() {
-        Mode::Fast
-    } else {
-        Mode::Full
-    };
-    let exp = find(name).unwrap_or_else(|| panic!("experiment {name:?} is not registered"));
-    let cfg = RunConfig {
-        mode,
-        filter: vec![name.to_string()],
-        jobs: 1,
-        resume: false,
-        ..RunConfig::for_mode(mode)
-    };
-    let mut cfg = cfg;
-    cfg.aggregate_path = None;
-    let report = run_suite(&cfg);
-    let record = report
-        .records
-        .iter()
-        .find(|r| r.name == exp.name)
-        .expect("selected experiment ran");
-    print!("{}", record.text);
-    print_gate_summary(record);
-    if record.passed {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
 
 fn print_gate_summary(record: &ExperimentRecord) {
     if record.gates.is_empty() {
@@ -82,8 +44,11 @@ fn usage() -> ! {
          Runs the registered paper-reproduction experiments in parallel over a\n\
          shared evaluation context, writes one schema-versioned JSON artifact\n\
          per experiment plus an aggregate report, and exits nonzero when any\n\
-         metric leaves its tolerance band. --resume reuses artifacts from a\n\
-         previous partial run when their fingerprints still match."
+         metric leaves its tolerance band. Each experiment's report goes to\n\
+         stdout. A --filter run writes the aggregate only to --aggregate PATH,\n\
+         so it never overwrites the whole-registry report. --resume reuses\n\
+         artifacts from a previous partial run when their fingerprints still\n\
+         match."
     );
     std::process::exit(2);
 }
@@ -123,14 +88,16 @@ fn parse_args<I: Iterator<Item = String>>(mut it: I) -> ReproduceArgs {
         }
     }
     let mut cfg = RunConfig::for_mode(mode);
+    // A filtered run covers part of the registry, so its aggregate would
+    // clobber the whole-registry report: write one only when asked to.
+    if aggregate.is_some() || !filter.is_empty() {
+        cfg.aggregate_path = aggregate;
+    }
     cfg.filter = filter;
     cfg.jobs = jobs;
     cfg.resume = resume;
     if let Some(dir) = out_dir {
         cfg.out_dir = dir;
-    }
-    if let Some(path) = aggregate {
-        cfg.aggregate_path = Some(path);
     }
     ReproduceArgs {
         cfg,
@@ -157,6 +124,9 @@ pub fn reproduce_main() -> ExitCode {
     }
 
     let report = run_suite(&args.cfg);
+    for r in &report.records {
+        print!("{}", r.text);
+    }
     if let Some(path) = &args.emit_golden {
         let text = render_golden_file(&report.records, args.cfg.mode);
         std::fs::write(path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
@@ -316,6 +286,23 @@ mod tests {
         );
         assert!(!args.list);
         assert!(args.emit_golden.is_none());
+    }
+
+    #[test]
+    fn aggregate_defaults_only_for_whole_registry_runs() {
+        let parse = |flags: &[&str]| parse_args(flags.iter().map(|s| s.to_string())).cfg;
+        assert_eq!(
+            parse(&["--fast"]).aggregate_path,
+            Some(PathBuf::from("results/REPRO_fast.json"))
+        );
+        assert_eq!(
+            parse(&["--fast", "--filter", "search_cost"]).aggregate_path,
+            None
+        );
+        assert_eq!(
+            parse(&["--filter", "fig8", "--aggregate", "x.json"]).aggregate_path,
+            Some(PathBuf::from("x.json"))
+        );
     }
 
     #[test]

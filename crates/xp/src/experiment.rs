@@ -264,7 +264,7 @@ impl<'a> XpEnv<'a> {
         self.sink.summary()
     }
 
-    /// The per-experiment telemetry registry (metrics + span profiles
+    /// The per-experiment telemetry registry (span profiles
     /// for every evaluation routed through [`XpEnv::exec`]; the runner
     /// also scopes the whole run under an `xp.experiment` span).
     pub fn telemetry(&self) -> &Telemetry {

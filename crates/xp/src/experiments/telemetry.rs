@@ -1,16 +1,18 @@
 //! Telemetry overhead study: the gate that keeps the observability
 //! layer honest. Measures the hot-path cost of a live registry against
 //! a clean environment (interleaved A/B, min-of-rounds), verifies the
-//! instrumented run is decision-byte-identical, and round-trips the
-//! registry through the Prometheus text exposition validator.
+//! instrumented run is decision-byte-identical, and round-trips one
+//! untimed traced pass through the Prometheus text exposition validator.
 
 use crate::experiment::{metric, ExperimentOutput, XpEnv};
-use gpm_harness::report::{fmt, Table};
-use gpm_harness::{ExecEnv, Scheme};
+use gpm_harness::report::{fmt, prometheus, Table};
+use gpm_harness::{EvalContext, ExecEnv, Scheme};
 use gpm_mpc::HorizonMode;
-use gpm_telemetry::{validate_prometheus, Telemetry};
-use gpm_workloads::workload_by_name;
+use gpm_telemetry::{validate_prometheus, Telemetry, TelemetrySnapshot};
+use gpm_trace::{AggregateSink, TraceSummary};
+use gpm_workloads::{workload_by_name, Workload};
 use std::fmt::Write;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Default ceiling on acceptable hot-path overhead, percent
@@ -96,12 +98,12 @@ pub fn telemetry_overhead(env: &XpEnv) -> ExperimentOutput {
     let ceiling = max_overhead_pct(env.is_fast());
     let byte_identical = clean_fp == instrumented_fp;
 
-    // Round-trip: everything the registry accumulated must render as
-    // format-valid Prometheus text exposition.
-    let snapshot = telemetry.snapshot();
-    let prom = snapshot.to_prometheus();
-    let prom_check = validate_prometheus(&prom);
-    let dispatches = snapshot.counter("gpm_dispatches_total").unwrap_or(0);
+    // Round-trip: one untimed traced pass must render as format-valid
+    // Prometheus text exposition, with one dispatch span per traced
+    // dispatch.
+    let (summary, snapshot) = ledger_pass(env.ctx(), &workloads, scheme);
+    let prom_check = validate_prometheus(&prometheus(&summary, &snapshot));
+    let dispatches = summary.dispatches;
     let dispatch_spans = snapshot.span("env.dispatch").map_or(0, |s| s.count);
 
     let mut table = Table::new(vec!["side", "best pass s"]);
@@ -168,6 +170,27 @@ pub fn telemetry_overhead(env: &XpEnv) -> ExperimentOutput {
             ),
         ],
     )
+}
+
+/// One untimed pass of `scheme` over `workloads` under a fresh registry
+/// and trace aggregate: the trace summary and span profile the
+/// Prometheus page renders from. The environment enters its own
+/// registry for every replay, so a registry the caller entered sees none
+/// of the pass's spans.
+pub fn ledger_pass(
+    ctx: &EvalContext,
+    workloads: &[Workload],
+    scheme: Scheme,
+) -> (TraceSummary, TelemetrySnapshot) {
+    let telemetry = Telemetry::new();
+    let sink = Arc::new(AggregateSink::new());
+    let exec = ExecEnv::new()
+        .with_trace(sink.clone())
+        .with_telemetry(telemetry.clone());
+    for w in workloads {
+        exec.evaluate(ctx, w, scheme);
+    }
+    (sink.summary(), telemetry.snapshot())
 }
 
 fn name_of(n: &str) -> gpm_workloads::Workload {

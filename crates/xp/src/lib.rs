@@ -12,9 +12,8 @@
 //! completed work for resume, and exits nonzero when any metric drifts
 //! outside its band.
 //!
-//! The `reproduce` binary (in `gpm-bench`) is the entry point; the
-//! legacy per-figure binaries are thin wrappers over
-//! [`cli::run_single`].
+//! The `reproduce` binary (in `gpm-bench`) is the entry point;
+//! `reproduce --filter NAME` runs one experiment and prints its report.
 
 pub mod artifact;
 pub mod cli;
