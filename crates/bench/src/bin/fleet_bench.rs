@@ -1,17 +1,18 @@
 //! Fleet scaling + determinism gate.
 //!
-//! Runs the canonical mixed fleet scenario through [`gpm_fleet`] at 1, 2,
-//! and auto worker threads, after one untimed warm-up run, measuring
-//! host wall-clock throughput at each setting, and:
+//! Runs the canonical mixed fleet scenario through [`gpm_fleet`] after
+//! one untimed warm-up run: once at 2 workers, then five interleaved
+//! (1-worker, auto) pairs, measuring host wall-clock throughput, and:
 //!
 //! * asserts the serialized fleet artifacts are **byte-identical** across
-//!   all three worker counts (the gpm-fleet determinism contract);
-//! * gates auto-worker speedup over 1 worker at
-//!   `GPM_FLEET_MIN_SCALING` (default 1.05×). When auto resolves to one
+//!   every run and worker count (the gpm-fleet determinism contract);
+//! * gates the median auto-worker speedup over 1 worker across the
+//!   pairs at `GPM_FLEET_MIN_SCALING` (default 1.05×) and records it
+//!   with its median absolute deviation. When auto resolves to one
 //!   worker (a single-core host) there is no scaling to measure: the
 //!   auto point is recorded as skipped (`auto_speedup_over_1: null`).
 //!
-//! `--soak <seconds>` instead replays seeded scenarios (rotating seeds)
+//! `--soak <seconds>` first replays seeded scenarios (rotating seeds)
 //! for at least that long, diffing every artifact against the first for
 //! its seed — the CI fleet-soak job runs 60 s of this. Every run (soak
 //! and sweep) executes under a live fleet [`gpm_telemetry`] registry
@@ -22,28 +23,30 @@
 //!
 //! `--telemetry-out PATH` writes the final Prometheus page (every run's
 //! rollup merged, plus the fleet registry's worker/shard spans) and
-//! exits non-zero when it fails validation; `--telemetry-port PORT`
-//! additionally serves the latest page on `127.0.0.1:PORT/metrics` for
-//! the duration of the run, so a soak can be watched from a real
-//! Prometheus scraper.
+//! exits non-zero when it fails validation.
 //!
 //! Emits `results/BENCH_fleet.json` either way. `GPM_BENCH_FAST=1`
 //! selects the fast training context (CI default). Build with
 //! `--release`; debug numbers are meaningless.
 
-use gpm_bench::{bench_context, emit_artifact, fast_from_env};
 use gpm_fleet::{FleetReport, FleetRollup, FleetScenario, FleetService};
 use gpm_telemetry::{validate_prometheus, Telemetry};
+use gpm_xp::emit_artifact;
+use gpm_xp::suite::{bench_context, fast_from_env};
 use serde::Serialize;
-use std::io::{Read, Write};
-use std::net::TcpListener;
-use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
+
+/// Interleaved (1-worker, auto) pairs behind the scaling point.
+const PAIRS: usize = 5;
 
 #[derive(Serialize)]
 struct WorkerPoint {
     workers: usize,
+    runs: usize,
+    /// Median wall time over `runs`.
     wall_s: f64,
+    /// Median absolute deviation of the wall time.
+    wall_mad_s: f64,
     jobs_per_s: f64,
 }
 
@@ -60,8 +63,11 @@ struct FleetBenchReport {
     fault_injections: u64,
     deterministic: bool,
     scaling: Vec<WorkerPoint>,
-    /// `None` when auto resolves to one worker: nothing to compare.
+    /// Median over the pairs of 1-worker wall / auto wall; `None` when
+    /// auto resolves to one worker: nothing to compare.
     auto_speedup_over_1: Option<f64>,
+    /// Median absolute deviation of the per-pair speedups.
+    auto_speedup_mad: Option<f64>,
     min_scaling_gate: f64,
     soak_seconds: f64,
     soak_iterations: usize,
@@ -72,6 +78,22 @@ fn env_f64(name: &str, default: f64) -> f64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// Median and median absolute deviation of `xs` (non-empty).
+fn median_mad(xs: &[f64]) -> (f64, f64) {
+    fn median(xs: &mut [f64]) -> f64 {
+        xs.sort_by(f64::total_cmp);
+        let n = xs.len();
+        if n % 2 == 1 {
+            xs[n / 2]
+        } else {
+            (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+        }
+    }
+    let m = median(&mut xs.to_vec());
+    let mut dev: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
+    (m, median(&mut dev))
 }
 
 /// One timed scenario run; returns (report, artifact bytes, wall).
@@ -110,31 +132,6 @@ fn fleet_page(totals: &FleetRollup, telemetry: &Telemetry) -> String {
     page.to_prometheus()
 }
 
-/// Serves the latest page on `127.0.0.1:port` from a detached thread
-/// (dies with the process).
-fn serve_prometheus(port: u16, page: Arc<Mutex<String>>) {
-    let listener = TcpListener::bind(("127.0.0.1", port))
-        .unwrap_or_else(|e| panic!("bind telemetry port {port}: {e}"));
-    println!("serving Prometheus metrics on http://127.0.0.1:{port}/metrics");
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { continue };
-            // Drain whatever request line arrives; every path gets the
-            // same exposition.
-            let mut buf = [0u8; 1024];
-            let _ = stream.read(&mut buf);
-            let body = page.lock().unwrap_or_else(PoisonError::into_inner).clone();
-            let _ = write!(
-                stream,
-                "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-                 Content-Length: {}\r\nConnection: close\r\n\r\n{}",
-                body.len(),
-                body
-            );
-        }
-    });
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     let soak_secs: Option<f64> = argv
@@ -145,11 +142,6 @@ fn main() {
         argv.get(i + 1)
             .expect("--telemetry-out needs a path")
             .clone()
-    });
-    let telemetry_port: Option<u16> = argv.iter().position(|a| a == "--telemetry-port").map(|i| {
-        argv.get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .expect("--telemetry-port needs a port number")
     });
 
     let ctx = bench_context(fast_from_env());
@@ -163,16 +155,6 @@ fn main() {
     // Prometheus page render from.
     let telemetry = Telemetry::new();
     let mut totals = FleetRollup::default();
-    let page = Arc::new(Mutex::new(fleet_page(&totals, &telemetry)));
-    if let Some(port) = telemetry_port {
-        serve_prometheus(port, Arc::clone(&page));
-    }
-    let record = |totals: &mut FleetRollup, report: &FleetReport| {
-        totals.merge(&report.rollup);
-        if telemetry_port.is_some() {
-            *page.lock().unwrap_or_else(PoisonError::into_inner) = fleet_page(totals, &telemetry);
-        }
-    };
 
     let mut soak_elapsed = 0.0;
     let mut soak_iters = 0usize;
@@ -188,8 +170,8 @@ fn main() {
             let (first_report, first, _) = timed_run(&svc, &s);
             let (report, again, _) = timed_run(&svc, &s);
             assert_eq!(first, again, "soak artifact drifted on round {round}");
-            record(&mut totals, &first_report);
-            record(&mut totals, &report);
+            totals.merge(&first_report.rollup);
+            totals.merge(&report.rollup);
             round += 1;
             soak_iters += 2;
             if last_status.elapsed().as_secs_f64() >= 5.0 {
@@ -203,37 +185,61 @@ fn main() {
     }
 
     // Scaling sweep: one untimed warm-up run (caches, allocator, first
-    // thread spawns), then 1, 2, auto workers over the same scenario.
-    let auto_workers = FleetService::new(ctx.clone()).effective_workers(scenario.shards.len());
-    let warm_up = FleetService::new(ctx.clone()).with_telemetry(telemetry.clone());
-    record(&mut totals, &warm_up.run(&scenario));
-    let mut scaling = Vec::new();
-    let mut artifacts: Vec<String> = Vec::new();
-    for &workers in &[1usize, 2, 0] {
-        let svc = FleetService::new(ctx.clone())
+    // thread spawns), one 2-worker run, then interleaved (1-worker,
+    // auto) pairs, so slow drift on a shared host lands on both sides
+    // of every pair.
+    let service = |workers| {
+        FleetService::new(ctx.clone())
             .with_workers(workers)
-            .with_telemetry(telemetry.clone());
-        let (full_report, json, wall) = timed_run(&svc, &scenario);
-        record(&mut totals, &full_report);
-        let effective = svc.effective_workers(scenario.shards.len());
-        scaling.push(WorkerPoint {
-            workers: effective,
-            wall_s: wall,
-            jobs_per_s: scenario.total_jobs() as f64 / wall,
-        });
-        println!(
-            "  {effective:>2} workers: {wall:.3} s wall ({:.1} jobs/s)",
-            scenario.total_jobs() as f64 / wall
-        );
+            .with_telemetry(telemetry.clone())
+    };
+    let (one, two, auto) = (service(1), service(2), service(0));
+    let auto_workers = auto.effective_workers(scenario.shards.len());
+    totals.merge(&auto.run(&scenario).rollup);
+    let mut artifacts: Vec<String> = Vec::new();
+    let mut walls: [Vec<f64>; 3] = Default::default();
+    let mut speedups = Vec::with_capacity(PAIRS);
+    let mut sweep = |svc: &FleetService, slot: usize| {
+        let (report, json, wall) = timed_run(svc, &scenario);
+        totals.merge(&report.rollup);
         artifacts.push(json);
+        walls[slot].push(wall);
+        wall
+    };
+    sweep(&two, 1);
+    for _ in 0..PAIRS {
+        let wall_one = sweep(&one, 0);
+        let wall_auto = sweep(&auto, 2);
+        speedups.push(wall_one / wall_auto);
     }
+    let scaling: Vec<WorkerPoint> = [&one, &two, &auto]
+        .iter()
+        .zip(&walls)
+        .map(|(svc, walls)| {
+            let (wall_s, wall_mad_s) = median_mad(walls);
+            let workers = svc.effective_workers(scenario.shards.len());
+            let jobs_per_s = scenario.total_jobs() as f64 / wall_s;
+            println!(
+                "  {workers:>2} workers: {wall_s:.4} s median wall of {} (MAD {wall_mad_s:.4} s, {jobs_per_s:.1} jobs/s)",
+                walls.len()
+            );
+            WorkerPoint {
+                workers,
+                runs: walls.len(),
+                wall_s,
+                wall_mad_s,
+                jobs_per_s,
+            }
+        })
+        .collect();
 
     let deterministic = artifacts.iter().all(|a| *a == artifacts[0]);
-    let auto_speedup = (auto_workers >= 2).then(|| scaling[0].wall_s / scaling[2].wall_s);
+    // (median, MAD) of the per-pair speedups.
+    let auto_speedup = (auto_workers >= 2).then(|| median_mad(&speedups));
     let gate = env_f64("GPM_FLEET_MIN_SCALING", 1.05);
 
-    let report: FleetReport = serde_json::from_str(artifacts.last().expect("three sweep runs"))
-        .expect("fleet artifact parses");
+    let report: FleetReport =
+        serde_json::from_str(artifacts.last().expect("sweep runs")).expect("fleet artifact parses");
     let bench = FleetBenchReport {
         scenario: scenario.name.clone(),
         seed,
@@ -246,7 +252,8 @@ fn main() {
         fault_injections: report.rollup.fault_injections,
         deterministic,
         scaling,
-        auto_speedup_over_1: auto_speedup,
+        auto_speedup_over_1: auto_speedup.map(|(median, _)| median),
+        auto_speedup_mad: auto_speedup.map(|(_, mad)| mad),
         min_scaling_gate: gate,
         soak_seconds: soak_elapsed,
         soak_iterations: soak_iters,
@@ -271,13 +278,15 @@ fn main() {
         ok = false;
     }
     match auto_speedup {
-        Some(speedup) if speedup < gate => {
-            eprintln!("FAIL: auto-worker speedup {speedup:.2}x below the {gate:.2}x scaling gate");
+        Some((speedup, _)) if speedup < gate => {
+            eprintln!(
+                "FAIL: median auto-worker speedup {speedup:.2}x over {PAIRS} pairs below the {gate:.2}x scaling gate"
+            );
             ok = false;
         }
-        Some(speedup) => {
-            println!("auto speedup {speedup:.2}x (gate {gate:.2}x, {auto_workers} workers)")
-        }
+        Some((speedup, mad)) => println!(
+            "auto speedup {speedup:.2}x median of {PAIRS} pairs, MAD {mad:.2}x (gate {gate:.2}x, {auto_workers} workers)"
+        ),
         None => println!("auto resolves to 1 worker: scaling point skipped"),
     }
     if !ok {

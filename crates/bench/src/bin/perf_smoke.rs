@@ -26,13 +26,13 @@
 //! regressions on the MPC hot path. Build with `--release`; debug
 //! numbers are meaningless.
 
-use gpm_bench::emit_artifact;
 use gpm_governors::search::{hill_climb, EnergyEvaluator};
 use gpm_harness::context;
 use gpm_hw::{ConfigSpace, HwConfig};
 use gpm_model::{encode_features, Dataset, RandomForest, RandomForestPredictor};
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
 use gpm_sim::{ApuSimulator, PowerPerfEstimate, SimParams};
+use gpm_xp::emit_artifact;
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::{Duration, Instant};

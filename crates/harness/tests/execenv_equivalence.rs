@@ -485,4 +485,25 @@ fn baseline_resolutions_are_traced_with_cache_state() {
         })
         .collect();
     assert_eq!(cached_flags, vec![false, true]);
+
+    // Through full traced evaluations of another workload on the same
+    // context: the first simulates the baseline, the second is served
+    // from the cache, and each trace reports exactly its own resolution.
+    let w = workload_by_name("Spmv").unwrap();
+    let scheme = Scheme::MpcRf {
+        horizon: HorizonMode::default(),
+    };
+    let resolutions: Vec<(u64, u64)> = (0..2)
+        .map(|_| {
+            let agg = Arc::new(AggregateSink::new());
+            let _ = ExecEnv::new()
+                .with_trace(agg.clone())
+                .evaluate(&local, &w, scheme);
+            let s = agg.summary();
+            (s.baseline_simulations, s.baseline_cache_hits)
+        })
+        .collect();
+    assert_eq!(resolutions, vec![(1, 0), (0, 1)]);
+    let stats = local.baseline_stats();
+    assert_eq!((stats.computed, stats.hits), (2, 2));
 }

@@ -71,34 +71,44 @@ proptest! {
 /// source): mean horizon, overhead per decision, and evaluation counts.
 #[test]
 fn aggregate_summary_reproduces_mpc_stats() {
-    let workload = workload_by_name("kmeans").unwrap();
-    let agg = Arc::new(AggregateSink::new());
-    let sink: Arc<dyn TraceSink> = agg.clone();
-    let out = ExecEnv::new().with_trace(sink).evaluate(
-        ctx(),
-        &workload,
-        Scheme::MpcRf {
-            horizon: HorizonMode::default(),
-        },
-    );
-    let stats = out.mpc_stats.expect("MPC scheme returns stats");
-    let summary = agg.summary();
+    for name in ["kmeans", "Spmv"] {
+        let workload = workload_by_name(name).unwrap();
+        let agg = Arc::new(AggregateSink::new());
+        let sink: Arc<dyn TraceSink> = agg.clone();
+        let out = ExecEnv::new().with_trace(sink).evaluate(
+            ctx(),
+            &workload,
+            Scheme::MpcRf {
+                horizon: HorizonMode::default(),
+            },
+        );
+        let stats = out.mpc_stats.expect("MPC scheme returns stats");
+        let summary = agg.summary();
 
-    assert_eq!(summary.horizon_decisions as usize, stats.horizons.len());
-    assert!(
-        (summary.mean_horizon - stats.average_horizon()).abs() < 1e-9,
-        "trace mean horizon {} vs stats {}",
-        summary.mean_horizon,
-        stats.average_horizon()
-    );
-    let stats_overhead_per_decision = stats.total_overhead_s() / stats.horizons.len() as f64;
-    assert!(
-        (summary.overhead_per_decision_s - stats_overhead_per_decision).abs() < 1e-12,
-        "trace overhead/decision {} vs stats {}",
-        summary.overhead_per_decision_s,
-        stats_overhead_per_decision
-    );
-    assert_eq!(summary.horizon_evaluations, stats.total_evaluations());
+        assert_eq!(
+            summary.horizon_decisions as usize,
+            stats.horizons.len(),
+            "{name}"
+        );
+        assert!(
+            (summary.mean_horizon - stats.average_horizon()).abs() < 1e-9,
+            "{name}: trace mean horizon {} vs stats {}",
+            summary.mean_horizon,
+            stats.average_horizon()
+        );
+        let stats_overhead_per_decision = stats.total_overhead_s() / stats.horizons.len() as f64;
+        assert!(
+            (summary.overhead_per_decision_s - stats_overhead_per_decision).abs() < 1e-12,
+            "{name}: trace overhead/decision {} vs stats {}",
+            summary.overhead_per_decision_s,
+            stats_overhead_per_decision
+        );
+        assert_eq!(
+            summary.horizon_evaluations,
+            stats.total_evaluations(),
+            "{name}"
+        );
+    }
 }
 
 /// Events streamed through the JSONL sink round-trip the golden schema.

@@ -55,26 +55,22 @@ impl FlatTree {
     ///
     /// # Panics
     ///
-    /// Panics if the tree violates the layout invariants above — possible
-    /// only for a corrupted (hand-deserialized) tree, never for one
-    /// produced by [`RegressionTree::fit`].
+    /// Panics if the tree has no nodes or violates the layout invariants
+    /// above — possible only for a corrupted (hand-deserialized) tree,
+    /// never for one produced by [`RegressionTree::fit`]. Deserializing
+    /// a `RandomForestPredictor` checks the same conditions first and
+    /// fails instead.
     pub fn from_tree(tree: &RegressionTree) -> FlatTree {
+        if let Err(e) = FlatTree::check(tree) {
+            panic!("{e}");
+        }
         let nodes = tree.nodes();
-        let num_features = tree.num_features();
-        assert!(
-            num_features < LEAF as usize,
-            "feature dimensionality {num_features} overflows the u16 id space"
-        );
-        assert!(
-            nodes.len() <= u32::MAX as usize,
-            "tree too large for u32 child indices"
-        );
         let mut flat = FlatTree {
             feature: Vec::with_capacity(nodes.len()),
             threshold: Vec::with_capacity(nodes.len()),
             right: Vec::with_capacity(nodes.len()),
         };
-        for (i, node) in nodes.iter().enumerate() {
+        for node in nodes {
             match *node {
                 Node::Leaf { value } => {
                     flat.feature.push(LEAF);
@@ -84,21 +80,9 @@ impl FlatTree {
                 Node::Split {
                     feature,
                     threshold,
-                    left,
                     right,
+                    ..
                 } => {
-                    assert!(
-                        left == i + 1,
-                        "split at {i} has non-adjacent left child {left}"
-                    );
-                    assert!(
-                        right > i && right < nodes.len(),
-                        "split at {i} has out-of-range right child {right}"
-                    );
-                    assert!(
-                        feature < num_features,
-                        "split at {i} references feature {feature} >= {num_features}"
-                    );
                     flat.feature.push(feature as u16);
                     flat.threshold.push(threshold);
                     flat.right.push(right as u32);
@@ -106,6 +90,47 @@ impl FlatTree {
             }
         }
         flat
+    }
+
+    /// Checks that `tree` can be flattened: a non-empty node list, a
+    /// feature dimensionality and node count that fit the id spaces, and
+    /// the layout invariants above. Returns the first violation.
+    pub(crate) fn check(tree: &RegressionTree) -> Result<(), String> {
+        let nodes = tree.nodes();
+        let num_features = tree.num_features();
+        if nodes.is_empty() {
+            return Err("tree has no nodes".to_string());
+        }
+        if num_features >= LEAF as usize {
+            return Err(format!(
+                "feature dimensionality {num_features} overflows the u16 id space"
+            ));
+        }
+        if nodes.len() > u32::MAX as usize {
+            return Err("tree too large for u32 child indices".to_string());
+        }
+        for (i, node) in nodes.iter().enumerate() {
+            if let Node::Split {
+                feature,
+                left,
+                right,
+                ..
+            } = *node
+            {
+                if left != i + 1 {
+                    return Err(format!("split at {i} has non-adjacent left child {left}"));
+                }
+                if right <= i || right >= nodes.len() {
+                    return Err(format!("split at {i} has out-of-range right child {right}"));
+                }
+                if feature >= num_features {
+                    return Err(format!(
+                        "split at {i} references feature {feature} >= {num_features}"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Number of nodes.

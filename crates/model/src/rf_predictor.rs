@@ -4,8 +4,9 @@
 use crate::dataset::Dataset;
 use crate::features::{
     encode_config_features, encode_counter_features, FeatureBuffer, NUM_CONFIG_FEATURES,
+    NUM_FEATURES,
 };
-use crate::flat::{FlatForest, PrunedForest};
+use crate::flat::{FlatForest, FlatTree, PrunedForest};
 use crate::forest::{ForestParams, RandomForest};
 use crate::metrics;
 use gpm_hw::HwConfig;
@@ -107,14 +108,42 @@ impl Serialize for RandomForestPredictor {
     }
 }
 
+// Validates before building the flat engines, so a corrupted saved
+// predictor is a deserialization error rather than a panic in
+// `FlatTree::from_tree`.
 impl Deserialize for RandomForestPredictor {
     fn deserialize_content(content: &serde::Content) -> Result<Self, serde::DeError> {
         let saved = SavedForests::deserialize_content(content)?;
+        for (name, forest) in [
+            ("time_forest", &saved.time_forest),
+            ("power_forest", &saved.power_forest),
+        ] {
+            check_forest(forest).map_err(|e| serde::DeError::custom(format!("{name}: {e}")))?;
+        }
         Ok(RandomForestPredictor::from_forests(
             saved.time_forest,
             saved.power_forest,
         ))
     }
+}
+
+/// Checks that a saved forest can serve this predictor: at least one
+/// tree, every tree as wide as the feature encoder, and every tree
+/// flattenable ([`FlatTree::check`]).
+fn check_forest(forest: &RandomForest) -> Result<(), String> {
+    if forest.trees().is_empty() {
+        return Err("forest has no trees".to_string());
+    }
+    for (t, tree) in forest.trees().iter().enumerate() {
+        if tree.num_features() != NUM_FEATURES {
+            return Err(format!(
+                "tree {t} has {} features, the encoder {NUM_FEATURES}",
+                tree.num_features()
+            ));
+        }
+        FlatTree::check(tree).map_err(|e| format!("tree {t}: {e}"))?;
+    }
+    Ok(())
 }
 
 thread_local! {
@@ -554,6 +583,93 @@ mod tests {
         let est = rf.predict(&snap, HwConfig::FAIL_SAFE);
         assert!(est.time_s > 0.0);
         assert!(est.gpu_power_w > 0.0);
+    }
+
+    /// One tree in the saved wire format.
+    fn tree(nodes: &str, num_features: usize) -> String {
+        format!(r#"{{"nodes":[{nodes}],"num_features":{num_features}}}"#)
+    }
+
+    /// A valid three-node tree: root split, two leaves.
+    const STUMP: &str = r#"{"Split":{"feature":0,"threshold":1.0,"left":1,"right":2}},{"Leaf":{"value":1.0}},{"Leaf":{"value":2.0}}"#;
+
+    /// Loads a saved predictor whose time forest holds `time_trees`
+    /// (comma-separated trees) and whose power forest is a valid stump.
+    fn load(time_trees: &str) -> Result<RandomForestPredictor, String> {
+        let good = tree(STUMP, NUM_FEATURES);
+        let json = format!(
+            r#"{{"time_forest":{{"trees":[{time_trees}],"in_bag":[]}},"power_forest":{{"trees":[{good}],"in_bag":[]}}}}"#
+        );
+        serde_json::from_str(&json).map_err(|e| e.to_string())
+    }
+
+    fn assert_rejected(time_trees: &str, why: &str) {
+        let err = load(time_trees).expect_err("corrupted forest must not load");
+        assert!(err.contains("time_forest") && err.contains(why), "{err}");
+    }
+
+    fn split(feature: usize, left: usize, right: usize) -> String {
+        format!(
+            r#"{{"Split":{{"feature":{feature},"threshold":1.0,"left":{left},"right":{right}}}}},{{"Leaf":{{"value":1.0}}}},{{"Leaf":{{"value":2.0}}}}"#
+        )
+    }
+
+    #[test]
+    fn hand_built_forest_loads_and_predicts() {
+        let rf = load(&tree(STUMP, NUM_FEATURES)).unwrap();
+        let snap = gpm_sim::predictor::KernelSnapshot::counters_only(
+            gpm_sim::CounterSet::from_values([1e7, 30.0, 55.0, 1e4, 2.0, 1.0, 1e5, 1e5]),
+            HwConfig::FAIL_SAFE,
+            1.0,
+        );
+        assert!(rf.predict(&snap, HwConfig::MAX_PERF).time_s.is_finite());
+    }
+
+    #[test]
+    fn load_rejects_a_forest_without_trees() {
+        assert_rejected("", "no trees");
+    }
+
+    #[test]
+    fn load_rejects_a_tree_without_nodes() {
+        assert_rejected(&tree("", NUM_FEATURES), "no nodes");
+    }
+
+    #[test]
+    fn load_rejects_a_tree_narrower_than_the_encoder() {
+        assert_rejected(&tree(STUMP, NUM_FEATURES - 1), "the encoder");
+    }
+
+    #[test]
+    fn load_rejects_a_non_adjacent_left_child() {
+        assert_rejected(
+            &tree(&split(0, 2, 2), NUM_FEATURES),
+            "non-adjacent left child",
+        );
+    }
+
+    #[test]
+    fn load_rejects_a_right_child_past_the_end() {
+        assert_rejected(
+            &tree(&split(0, 1, 1_000_000), NUM_FEATURES),
+            "out-of-range right child",
+        );
+    }
+
+    #[test]
+    fn load_rejects_a_right_child_that_does_not_advance() {
+        assert_rejected(
+            &tree(&split(0, 1, 0), NUM_FEATURES),
+            "out-of-range right child",
+        );
+    }
+
+    #[test]
+    fn load_rejects_a_feature_outside_the_tree_width() {
+        assert_rejected(
+            &tree(&split(NUM_FEATURES, 1, 2), NUM_FEATURES),
+            "references feature",
+        );
     }
 
     #[test]

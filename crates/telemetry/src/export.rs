@@ -1,16 +1,14 @@
-//! Exporters over a [`TelemetrySnapshot`]: the span families of the
-//! Prometheus text page, chrome://tracing JSON (loadable in Perfetto /
-//! `chrome://tracing`), and folded stacks for flamegraph tooling.
+//! The span families of the Prometheus text page, rendered from a
+//! [`TelemetrySnapshot`].
 //!
-//! The Prometheus renderer is paired with [`validate_prometheus`], a
+//! The renderer is paired with [`validate_prometheus`], a
 //! strict parser of the text exposition format used by the test suite
 //! and CI to prove every rendered page round-trips: names and labels
 //! well-formed, every sample under a declared `# TYPE` family, and
 //! histogram bucket series cumulative with a terminal `+Inf` bucket
 //! equal to `_count`.
 
-use crate::registry::{Telemetry, TelemetrySnapshot};
-use serde::Serialize;
+use crate::registry::TelemetrySnapshot;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
@@ -76,58 +74,6 @@ impl TelemetrySnapshot {
             }
         }
         out
-    }
-
-    /// Renders the span rows as folded stacks — one
-    /// `root;child;leaf value` line per path, value = **self** time in
-    /// nanoseconds — the input format of flamegraph renderers
-    /// (`flamegraph.pl`, inferno, speedscope).
-    pub fn to_folded(&self) -> String {
-        let mut out = String::new();
-        for s in &self.spans {
-            if s.self_ns == 0 {
-                continue;
-            }
-            let _ = writeln!(out, "{} {}", s.path, s.self_ns);
-        }
-        out
-    }
-}
-
-#[derive(Serialize)]
-struct ChromeEvent {
-    name: String,
-    cat: &'static str,
-    ph: &'static str,
-    ts: f64,
-    dur: f64,
-    pid: u64,
-    tid: u64,
-}
-
-impl Telemetry {
-    /// Renders the registry's bounded span-event ring as a
-    /// chrome://tracing JSON array of complete (`"ph":"X"`) events,
-    /// loadable in Perfetto. Requires the registry to have been built
-    /// with [`Telemetry::with_events`]; otherwise the array is empty.
-    pub fn chrome_trace(&self) -> String {
-        let mut events: Vec<ChromeEvent> = Vec::new();
-        if let Some(ring) = &self.inner.events {
-            let ring = ring.events.lock().unwrap_or_else(|p| p.into_inner());
-            for ev in ring.iter() {
-                events.push(ChromeEvent {
-                    name: ev.name.to_string(),
-                    cat: "gpm",
-                    ph: "X",
-                    ts: ev.start_ns as f64 / 1e3,
-                    dur: ev.dur_ns as f64 / 1e3,
-                    pid: 1,
-                    tid: ev.tid,
-                });
-            }
-        }
-        events.sort_by(|a, b| a.ts.total_cmp(&b.ts).then(a.tid.cmp(&b.tid)));
-        serde_json::to_string(&events).expect("chrome trace serialization cannot fail")
     }
 }
 
@@ -368,10 +314,10 @@ pub fn validate_prometheus(text: &str) -> Result<PromStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{span, SpanRow};
+    use crate::{span, SpanRow, Telemetry};
 
     fn populated() -> Telemetry {
-        let t = Telemetry::with_events(64);
+        let t = Telemetry::new();
         {
             let _e = t.enter();
             let _outer = span("env.dispatch");
@@ -456,46 +402,5 @@ gpm_h_count{shard=\"1\"} 1
         let stats = validate_prometheus(page).unwrap();
         assert_eq!(stats.samples, 8);
         assert_eq!(stats.histograms, 1);
-    }
-
-    #[test]
-    fn chrome_trace_is_a_json_array_of_complete_events() {
-        let t = populated();
-        let json = t.chrome_trace();
-        let parsed: Vec<serde_json::Value> = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed.len(), 2);
-        let names: Vec<&str> = parsed.iter().map(|e| e["name"].as_str().unwrap()).collect();
-        assert!(names.contains(&"env.dispatch"));
-        assert!(names.contains(&"search.hill_climb"));
-        for e in &parsed {
-            assert_eq!(e["ph"].as_str(), Some("X"));
-            assert!(e["dur"].as_f64().unwrap() >= 0.0);
-        }
-    }
-
-    #[test]
-    fn chrome_trace_without_a_ring_is_empty() {
-        let t = Telemetry::new();
-        {
-            let _s = t.span("ignored");
-        }
-        assert_eq!(t.chrome_trace(), "[]");
-    }
-
-    #[test]
-    fn folded_stacks_use_self_time() {
-        let t = populated();
-        let folded = t.snapshot().to_folded();
-        let dispatch_line = folded
-            .lines()
-            .find(|l| l.starts_with("env.dispatch "))
-            .expect("root self time line");
-        let parts: Vec<&str> = dispatch_line.rsplitn(2, ' ').collect();
-        let self_ns: u64 = parts[0].parse().unwrap();
-        let total = t.snapshot().span("env.dispatch").unwrap().total_ns;
-        assert!(self_ns <= total);
-        assert!(folded
-            .lines()
-            .any(|l| l.starts_with("env.dispatch;search.hill_climb ")));
     }
 }

@@ -1,5 +1,5 @@
-//! Phase-time telemetry: a hierarchical span profiler plus the
-//! Prometheus page, chrome-trace and flamegraph exporters.
+//! Phase-time telemetry: a hierarchical span profiler plus the span
+//! families of the Prometheus page.
 //!
 //! `gpm-trace` is the one ledger of decision facts — every run,
 //! dispatch, decision latency and baseline resolution is a typed
@@ -19,9 +19,9 @@
 //!   count, total, and **self** time (total minus child spans) into
 //!   per-thread span trees — the hot path takes one uncontended lock and
 //!   allocates nothing once a span name has been seen.
-//! * [`export`] — the span families of the Prometheus text page (plus
-//!   [`validate_prometheus`]), chrome://tracing JSON (loadable in
-//!   Perfetto), and folded stacks for flamegraphs.
+//! * [`export`] — the span families of the Prometheus text page
+//!   (`gpm_span_count`, `gpm_span_seconds` and `gpm_span_self_seconds`,
+//!   labelled by path), plus [`validate_prometheus`].
 //!
 //! # Wiring
 //!
@@ -50,7 +50,8 @@
 //! a handle never changes a governor decision (pinned by the
 //! `execenv_equivalence` and `fleet_determinism` suites), and measured
 //! overhead on the steady-state MPC hot path is gated below 5% by the
-//! `telemetry_overhead` bench.
+//! `telemetry_overhead` experiment (`reproduce --filter
+//! telemetry_overhead`).
 
 #![warn(missing_docs)]
 

@@ -1,29 +1,19 @@
 //! The telemetry handle and its frozen, mergeable snapshot.
 //!
-//! A [`Telemetry`] handle owns the span profiler's per-thread span trees
-//! and, optionally, a bounded ring of completed spans for chrome-trace
-//! export. Decision facts (runs, dispatches, decision latency, baseline
+//! A [`Telemetry`] handle owns the span profiler's per-thread span
+//! trees. Decision facts (runs, dispatches, decision latency, baseline
 //! resolutions) are not counted here: they live in the `gpm-trace` event
 //! stream, and `gpm_harness::report::prometheus` renders them from its
 //! summary.
 
-use crate::span::{SpanEvent, ThreadSlot};
+use crate::span::ThreadSlot;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Bounded ring of completed span events for chrome-trace export.
-pub(crate) struct EventRing {
-    pub(crate) capacity: usize,
-    pub(crate) events: Mutex<Vec<SpanEvent>>,
-    pub(crate) cursor: AtomicUsize,
-}
 
 pub(crate) struct Inner {
     pub(crate) epoch: Instant,
     pub(crate) threads: Mutex<Vec<Arc<ThreadSlot>>>,
-    pub(crate) events: Option<Arc<EventRing>>,
 }
 
 /// A cheaply clonable telemetry handle: the span profiler state. Clones
@@ -36,35 +26,17 @@ pub struct Telemetry {
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Telemetry")
-            .field("events", &self.inner.events.is_some())
-            .finish()
+        f.debug_struct("Telemetry").finish_non_exhaustive()
     }
 }
 
 impl Telemetry {
-    /// A fresh, empty handle with span-event recording disabled.
+    /// A fresh, empty handle.
     pub fn new() -> Telemetry {
-        Telemetry::build(None)
-    }
-
-    /// A handle that additionally keeps the most recent `capacity`
-    /// completed spans as chrome-trace events
-    /// ([`Telemetry::chrome_trace`]).
-    pub fn with_events(capacity: usize) -> Telemetry {
-        Telemetry::build(Some(Arc::new(EventRing {
-            capacity: capacity.max(1),
-            events: Mutex::new(Vec::new()),
-            cursor: AtomicUsize::new(0),
-        })))
-    }
-
-    fn build(events: Option<Arc<EventRing>>) -> Telemetry {
         Telemetry {
             inner: Arc::new(Inner {
                 epoch: Instant::now(),
                 threads: Mutex::new(Vec::new()),
-                events,
             }),
         }
     }
@@ -89,8 +61,8 @@ impl Default for Telemetry {
     }
 }
 
-/// One aggregated span path in a snapshot: the `;`-joined ancestry
-/// (flamegraph folded-stack key), with total and self time.
+/// One aggregated span path in a snapshot: the `;`-joined ancestry,
+/// with total and self time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanRow {
     /// `;`-joined span ancestry, root first (e.g.

@@ -14,22 +14,12 @@
 //! registry is current on the thread, the guard is inert and costs one
 //! thread-local read.
 
-use crate::registry::{EventRing, Inner, SpanRow, Telemetry};
+use crate::registry::{Inner, SpanRow, Telemetry};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
-
-/// A completed span occurrence kept in the bounded event ring for
-/// chrome-trace export.
-pub(crate) struct SpanEvent {
-    pub(crate) name: &'static str,
-    pub(crate) tid: u64,
-    pub(crate) start_ns: u64,
-    pub(crate) dur_ns: u64,
-}
 
 /// One span-tree node: a `&'static str` name under a parent path.
 struct Node {
@@ -57,13 +47,11 @@ struct ThreadSpans {
 
 /// Per-(thread, registry) span state. Only this thread writes; the
 /// snapshotting thread reads under the same mutex, which is therefore
-/// uncontended in steady state. The registry's epoch and event ring are
-/// cached here so a span guard needs only this one (thread-private,
-/// cache-warm) allocation — no pointer chase into the shared `Inner`.
+/// uncontended in steady state. The registry's epoch is cached here so
+/// a span guard needs only this one (thread-private, cache-warm)
+/// allocation — no pointer chase into the shared `Inner`.
 pub(crate) struct ThreadSlot {
-    tid: u64,
     epoch: Instant,
-    events: Option<Arc<EventRing>>,
     spans: Mutex<ThreadSpans>,
 }
 
@@ -89,9 +77,7 @@ fn slot_for_thread(t: &Telemetry) -> Arc<ThreadSlot> {
         }
         let mut threads = t.inner.threads.lock().unwrap_or_else(|p| p.into_inner());
         let slot = Arc::new(ThreadSlot {
-            tid: threads.len() as u64,
             epoch: t.inner.epoch,
-            events: t.inner.events.clone(),
             spans: Mutex::new(ThreadSpans::default()),
         });
         threads.push(Arc::clone(&slot));
@@ -201,24 +187,8 @@ impl Drop for SpanGuard {
             node.count += 1;
             node.total_ns += dur;
             node.child_ns += frame.child_ns;
-            let name = node.name;
             if let Some(parent) = spans.stack.last_mut() {
                 parent.child_ns += dur;
-            }
-            if let Some(ring) = &slot.events {
-                let mut events = ring.events.lock().unwrap_or_else(|p| p.into_inner());
-                let ev = SpanEvent {
-                    name,
-                    tid: slot.tid,
-                    start_ns: frame.start_ns,
-                    dur_ns: dur,
-                };
-                if events.len() < ring.capacity {
-                    events.push(ev);
-                } else {
-                    let i = ring.cursor.fetch_add(1, Ordering::Relaxed) % ring.capacity;
-                    events[i] = ev;
-                }
             }
         }
     }
@@ -407,18 +377,5 @@ mod tests {
         let spans = threads[0].spans.lock().unwrap();
         assert_eq!(spans.nodes.len(), 1);
         assert_eq!(spans.nodes[0].count, 100);
-    }
-
-    #[test]
-    fn event_ring_is_bounded() {
-        let t = Telemetry::with_events(8);
-        {
-            let _e = t.enter();
-            for _ in 0..50 {
-                let _s = span("tick");
-            }
-        }
-        let ring = t.inner.events.as_ref().unwrap();
-        assert_eq!(ring.events.lock().unwrap().len(), 8);
     }
 }

@@ -1,5 +1,5 @@
-//! Fault-injection robustness: the shared degradation-curve sweep used
-//! by both the `robustness` CLI binary and the registry experiment.
+//! Fault-injection robustness: the degradation-curve sweep behind the
+//! registry's `robustness` experiment and its graceful-degradation gate.
 
 use crate::experiment::{metric, ExperimentOutput, XpEnv};
 use gpm_faults::FaultPlan;
@@ -9,68 +9,45 @@ use gpm_harness::{EvalContext, Scheme};
 use gpm_mpc::HorizonMode;
 use gpm_trace::{AggregateSink, TraceSink};
 use gpm_workloads::{workload_by_name, Workload};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 use std::sync::Arc;
 
+/// Fault-plan seed shared by every swept point.
+const SEED: u64 = 0xFA_15AFE;
+
+/// Gate threshold on wall-time slowdown at rates ≤ 0.10.
+const MAX_SLOWDOWN: f64 = 1.5;
+
 /// One point of the degradation curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DegradationPoint {
+struct DegradationPoint {
     /// Per-channel fault rate swept at this point.
-    pub rate: f64,
+    rate: f64,
     /// Energy savings vs the clean Turbo Core baseline, percent.
-    pub energy_savings_pct: f64,
+    energy_savings_pct: f64,
     /// Baseline wall time over degraded wall time (< 1 = slowdown).
-    pub speedup: f64,
+    speedup: f64,
     /// Throughput-constraint violation, percent of baseline wall time
     /// (0 when the degraded run is at least as fast as the baseline).
-    pub violation_pct: f64,
+    violation_pct: f64,
     /// Faults that fired across both scheme invocations.
-    pub fault_injections: u64,
+    fault_injections: u64,
     /// Detected-and-recovered events (sanitization, retries, discards).
-    pub recoveries: u64,
-    /// Fail-safe decisions taken by the governor.
-    pub fail_safe_events: u64,
-    /// Turbo Core baselines simulated while sweeping this point.
-    pub baseline_simulations: u64,
-    /// Baseline resolutions served from the shared cache at this point.
-    pub baseline_cache_hits: u64,
-}
-
-/// The full sweep artifact written by the `robustness` binary and the
-/// registry experiment.
-#[derive(Debug, Serialize)]
-pub struct RobustnessReport {
-    /// Swept workload name.
-    pub workload: String,
-    /// Scheme label under test.
-    pub scheme: String,
-    /// Fault-plan seed.
-    pub seed: u64,
-    /// Gate threshold on wall-time slowdown at rates ≤ 0.10.
-    pub max_slowdown: f64,
-    /// Turbo Core baselines simulated across the sweep.
-    pub baseline_simulations: u64,
-    /// Baseline resolutions served from the context cache.
-    pub baseline_cache_hits: u64,
-    /// The degradation curve.
-    pub curve: Vec<DegradationPoint>,
+    recoveries: u64,
 }
 
 /// Sweeps `workload` under `scheme` across `rates`, one fresh
 /// deterministic [`FaultPlan`] per point, and records the degradation
 /// curve.
-pub fn degradation_curve(
+fn degradation_curve(
     ctx: &EvalContext,
     workload: &Workload,
     scheme: Scheme,
-    seed: u64,
     rates: &[f64],
 ) -> Vec<DegradationPoint> {
     rates
         .iter()
         .map(|&rate| {
-            let plan = FaultPlan::uniform(seed, rate);
+            let plan = FaultPlan::uniform(SEED, rate);
             let agg = Arc::new(AggregateSink::new());
             let sink: Arc<dyn TraceSink> = agg.clone();
             let env = ExecEnv::new().with_trace(sink).with_fault_plan(plan);
@@ -84,27 +61,24 @@ pub fn degradation_curve(
                 violation_pct: (1.0 / c.speedup - 1.0).max(0.0) * 100.0,
                 fault_injections: summary.fault_injections,
                 recoveries: summary.recoveries,
-                fail_safe_events: summary.fail_safe_events,
-                baseline_simulations: summary.baseline_simulations,
-                baseline_cache_hits: summary.baseline_cache_hits,
             }
         })
         .collect()
 }
 
 /// Graceful-degradation gate: every point must have finite accounting,
-/// points at rate ≤ 0.10 must keep the slowdown under `max_slowdown`,
+/// points at rate ≤ 0.10 must keep the slowdown under [`MAX_SLOWDOWN`],
 /// and every nonzero rate must actually fire faults. Returns the list
 /// of violations (empty = pass).
-pub fn degradation_gate_failures(curve: &[DegradationPoint], max_slowdown: f64) -> Vec<String> {
+fn degradation_gate_failures(curve: &[DegradationPoint]) -> Vec<String> {
     let mut failures = Vec::new();
     for p in curve {
         if !p.speedup.is_finite() || !p.energy_savings_pct.is_finite() || p.speedup <= 0.0 {
             failures.push(format!("non-finite accounting at rate {}", p.rate));
         }
-        if p.rate <= 0.10 && 1.0 / p.speedup > max_slowdown {
+        if p.rate <= 0.10 && 1.0 / p.speedup > MAX_SLOWDOWN {
             failures.push(format!(
-                "slowdown {:.3} exceeds {max_slowdown} at rate {}",
+                "slowdown {:.3} exceeds {MAX_SLOWDOWN} at rate {}",
                 1.0 / p.speedup,
                 p.rate
             ));
@@ -116,8 +90,8 @@ pub fn degradation_gate_failures(curve: &[DegradationPoint], max_slowdown: f64) 
     failures
 }
 
-/// Renders the curve as the sweep table the binary has always printed.
-pub fn render_curve(workload: &str, curve: &[DegradationPoint]) -> String {
+/// Renders one workload's curve as a sweep table.
+fn render_curve(workload: &str, curve: &[DegradationPoint]) -> String {
     let mut out = format!("Robustness sweep: MPC(RF) on {workload}\n");
     writeln!(
         out,
@@ -141,40 +115,53 @@ pub fn render_curve(workload: &str, curve: &[DegradationPoint]) -> String {
     out
 }
 
-/// The registry experiment: the default kmeans sweep with the standard
-/// rates and the graceful-degradation gate folded into metrics. Builds
-/// its own context so the baseline-cache single-compute assertion stays
-/// valid (the shared registry context is warmed by other experiments).
+/// The registry experiment: sweeps kmeans (fast) or one workload per
+/// class (full) across the fault rates on one context, with the
+/// graceful-degradation gate folded into `gate_failures`. The headline
+/// metrics come from the kmeans curve. Builds its own context so the
+/// baseline-cache assertion stays exact (the shared registry context is
+/// warmed by other experiments).
 pub fn robustness(env: &XpEnv) -> ExperimentOutput {
-    let rates: &[f64] = if env.is_fast() {
-        &[0.0, 0.05, 0.20]
+    let (names, rates): (&[&str], &[f64]) = if env.is_fast() {
+        (&["kmeans"], &[0.0, 0.05, 0.10, 0.20])
     } else {
-        &[0.0, 0.02, 0.05, 0.10, 0.20]
+        (
+            &["kmeans", "Spmv", "hybridsort", "lulesh"],
+            &[0.0, 0.02, 0.05, 0.10, 0.20],
+        )
     };
-    let seed = 0xFA_15AFE;
-    let max_slowdown = 1.5;
-    let workload = workload_by_name("kmeans").expect("suite workload");
     let ctx = EvalContext::build(env.options());
     let scheme = Scheme::MpcRf {
         horizon: HorizonMode::default(),
     };
 
-    let curve = degradation_curve(&ctx, &workload, scheme, seed, rates);
-    let mut failures = degradation_gate_failures(&curve, max_slowdown);
-
-    // The whole sweep shares one context, so the baseline must have been
-    // simulated exactly once, with every later rate a cache hit.
-    let cache = ctx.baseline_stats();
-    if cache.computed != 1 || cache.hits != rates.len() as u64 - 1 {
-        failures.push(format!(
-            "baseline cache expected 1 compute / {} hits, got {} / {}",
-            rates.len() - 1,
-            cache.computed,
-            cache.hits
-        ));
+    let mut out = String::new();
+    let mut failures = Vec::new();
+    let mut curves = Vec::new();
+    for name in names {
+        let workload = workload_by_name(name).expect("suite workload");
+        let curve = degradation_curve(&ctx, &workload, scheme, rates);
+        out.push_str(&render_curve(workload.name(), &curve));
+        failures.extend(
+            degradation_gate_failures(&curve)
+                .into_iter()
+                .map(|f| format!("{name}: {f}")),
+        );
+        curves.push(curve);
     }
 
-    let mut out = render_curve(workload.name(), &curve);
+    // The sweep shares one context, so each workload's baseline must
+    // have been simulated exactly once, with every later rate a cache
+    // hit.
+    let cache = ctx.baseline_stats();
+    let computes = names.len() as u64;
+    let hits = computes * (rates.len() as u64 - 1);
+    if cache.computed != computes || cache.hits != hits {
+        failures.push(format!(
+            "baseline cache expected {computes} computes / {hits} hits, got {} / {}",
+            cache.computed, cache.hits
+        ));
+    }
     writeln!(
         out,
         "baseline cache: {} simulated, {} served from cache",
@@ -184,8 +171,9 @@ pub fn robustness(env: &XpEnv) -> ExperimentOutput {
     for f in &failures {
         writeln!(out, "GATE: {f}").unwrap();
     }
-    let clean = &curve[0];
-    let worst = curve.last().unwrap();
+    let kmeans = &curves[0];
+    let clean = &kmeans[0];
+    let worst = kmeans.last().unwrap();
     ExperimentOutput::new(
         out,
         vec![

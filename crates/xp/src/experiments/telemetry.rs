@@ -15,20 +15,13 @@ use std::fmt::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default ceiling on acceptable hot-path overhead, percent
-/// (`GPM_TELEMETRY_MAX_OVERHEAD_PCT` overrides). The paper-fidelity
-/// budget is 5%; fast mode shrinks decisions to a few microseconds, so
-/// the fixed ~100 ns/span cost is relatively inflated and gets
-/// headroom. Debug builds inflate the per-span constant further (no
-/// inlining, TLS checks) and loosen both ceilings; the release
-/// `telemetry_overhead` bench binary is the tight production gate.
+/// Ceiling on acceptable hot-path overhead, percent. The
+/// paper-fidelity budget is 5%; fast mode shrinks decisions to a few
+/// microseconds, so the fixed ~100 ns/span cost is relatively inflated
+/// and gets headroom. Debug builds inflate the per-span constant
+/// further (no inlining, TLS checks) and loosen both ceilings; the
+/// release build is the production gate.
 fn max_overhead_pct(fast: bool) -> f64 {
-    if let Some(pct) = std::env::var("GPM_TELEMETRY_MAX_OVERHEAD_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        return pct;
-    }
     match (fast, cfg!(debug_assertions)) {
         (false, false) => 5.0,
         (false, true) => 25.0,
@@ -177,7 +170,7 @@ pub fn telemetry_overhead(env: &XpEnv) -> ExperimentOutput {
 /// Prometheus page renders from. The environment enters its own
 /// registry for every replay, so a registry the caller entered sees none
 /// of the pass's spans.
-pub fn ledger_pass(
+fn ledger_pass(
     ctx: &EvalContext,
     workloads: &[Workload],
     scheme: Scheme,

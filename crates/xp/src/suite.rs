@@ -36,12 +36,6 @@ pub fn bench_context(fast: bool) -> EvalContext {
     ctx
 }
 
-/// Builds the full-mode evaluation context, printing the trained model's
-/// held-out accuracy.
-pub fn figure_context() -> EvalContext {
-    bench_context(false)
-}
-
 /// One evaluated benchmark: outcome plus baseline comparison.
 pub struct BenchRow {
     /// The workload evaluated.

@@ -21,7 +21,7 @@
 //! | [`workloads`] | `gpm-workloads` | the 15 Table IV benchmarks |
 //! | [`harness`] | `gpm-harness` | experiment runner, comparisons, reports |
 //! | [`trace`] | `gpm-trace` | decision-level observability events and sinks |
-//! | [`telemetry`] | `gpm-telemetry` | span profiler, Prometheus validator, chrome-trace/flamegraph exporters |
+//! | [`telemetry`] | `gpm-telemetry` | span profiler, Prometheus span families and validator |
 //! | [`faults`] | `gpm-faults` | deterministic fault injection (robustness studies) |
 //! | [`fleet`] | `gpm-fleet` | sharded multi-device fleet service and scenario DSL |
 //!

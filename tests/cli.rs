@@ -82,3 +82,35 @@ fn run_rejects_unknown_workload_and_scheme() {
     assert!(!ok);
     assert!(stderr.contains("unknown scheme"));
 }
+
+#[test]
+fn corrupted_cache_is_a_load_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("gpm_cli_cache_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ctx.json");
+    let path_str = path.to_str().unwrap();
+    let run = ["run", "--workload", "NBody", "--scheme", "mpc", "--fast"];
+    let (_, stderr, ok) = gpm(&[&run[..], &["--cache", path_str]].concat());
+    assert!(ok, "stderr: {stderr}");
+
+    // Point the first split's right child far past the end of its tree.
+    let json = std::fs::read_to_string(&path).unwrap();
+    let at = json.find("\"right\":").expect("saved forest has a split") + "\"right\":".len();
+    let digits = json[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let corrupted = format!("{}1000000{}", &json[..at], &json[at + digits..]);
+    std::fs::write(&path, corrupted).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_gpm"))
+        .args(run)
+        .args(["--cache", path_str])
+        .output()
+        .expect("spawn gpm binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("cannot load"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("out-of-range right child"),
+        "stderr: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
